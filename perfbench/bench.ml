@@ -3,7 +3,7 @@
    Usage:
      bench.exe --workload W --seed S --seconds N --trace 0|1 [--spans FILE]
 
-   W is one of sweep-none, sweep-dedup, sweep-omit, fuzz. The program runs
+   W is one of sweep-none, sweep-omit, fuzz. The program runs
    the workload single-process and single-domain through the entry points
    `ipi sweep --jobs 1` and `ipi fuzz` use, checks every pass against the
    pinned verdicts below, and prints one JSON object of raw measurements
@@ -83,28 +83,6 @@ let sweep_none =
     };
   ]
 
-let sweep_dedup =
-  [
-    {
-      label = "FloodSet";
-      n = 7;
-      t = 3;
-      faults = Sim.Model.Crash_only;
-      runs = 58_737_408;
-      explored = 391_757;
-      decisions = (4, 4);
-      dedup =
-        Some
-          {
-            hits = 3_598_917;
-            lookups = 4_330_154;
-            entries = 731_237;
-            snapshots = 339_480;
-            restores = 3_984_274;
-          };
-    };
-  ]
-
 let sweep_omit =
   [
     {
@@ -176,7 +154,6 @@ type workload = Sweeps of sweep list | Fuzz of campaign list
 
 let workload_of_name = function
   | "sweep-none" -> Some (Sweeps sweep_none)
-  | "sweep-dedup" -> Some (Sweeps sweep_dedup)
   | "sweep-omit" -> Some (Sweeps sweep_omit)
   | "fuzz" -> Some (Fuzz fuzz)
   | _ -> None
@@ -391,32 +368,30 @@ let fuzz_pass prepared ~seed () =
 (* Set-up                                                               *)
 
 (* Interns every menu node reachable within [horizon] rounds — the work
-   each sweep shard repeats on its own fresh menu. Returns the number of
-   distinct nodes. *)
+   each sweep shard repeats on its own fresh menu — and returns the number
+   of distinct nodes. The walk goes level by level and keeps nodes
+   distinct by physical identity: the menu interns each state once, so
+   [==] is node equality and the walk itself hashes nothing. *)
 let intern_menu ~faults config =
   let menu =
     Mc.Menu.create ~faults ~omit_budget:1 ~policy:Mc.Serial.Prefixes config
   in
-  let seen = Hashtbl.create 64 in
-  let rec visit depth (node : Mc.Menu.node) =
-    let key =
-      ( node.aliveb,
-        node.sendb,
-        node.recvb,
-        node.adv.Mc.Serial.crashes_left,
-        node.adv.Mc.Serial.omit_left )
-    in
-    match Hashtbl.find_opt seen key with
-    | Some d when d >= depth -> ()
-    | _ ->
-        Hashtbl.replace seen key depth;
-        if depth > 0 then
-          Array.iteri
-            (fun i _ -> visit (depth - 1) (Mc.Menu.child menu node i))
-            node.choices
+  let add node nodes = if List.memq node nodes then nodes else node :: nodes in
+  let rec walk depth frontier seen =
+    if depth = 0 then List.length seen
+    else begin
+      let next = ref [] in
+      List.iter
+        (fun (node : Mc.Menu.node) ->
+          for i = 0 to Array.length node.choices - 1 do
+            next := add (Mc.Menu.child menu node i) !next
+          done)
+        frontier;
+      walk (depth - 1) !next (List.fold_left (fun seen n -> add n seen) seen !next)
+    end
   in
-  visit (Config.t config + 2) (Mc.Menu.root menu);
-  Hashtbl.length seen
+  let root = Mc.Menu.root menu in
+  walk (Config.t config + 2) [ root ] [ root ]
 
 type setup = {
   mutable setup_ns : int list;
@@ -461,24 +436,47 @@ let setup_once workload ~seed =
 
 (* Set-up is sampled in chunks, one before the warm-up and one after each
    timed pass, so its median sees the same machine as the passes rather
-   than one fraction of a second of it. A sweep set-up takes under 2 ms,
-   drawing the fuzz schedules about 0.1 s. *)
+   than one fraction of a second of it. A sweep set-up takes under 1 ms,
+   so a chunk repeats it 100 times and counts as one sample, its mean:
+   single sweep set-ups fall into a fast and a slow cluster, and a median
+   of them jumps between the two. Drawing the fuzz schedules takes about
+   0.1 s. *)
 let setup_chunk = function Sweeps _ -> 100 | Fuzz _ -> 1
 
-(* Runs one chunk of set-ups, records their times and returns the inputs
-   the last one built. No collection is forced afterwards: emptying the
-   minor heap before every pass would pin each pass to the same GC phase,
-   and a seed-dependent one, instead of letting passes average over it. *)
+(* Runs one chunk of set-ups, records their mean times and returns the
+   inputs the last one built. Each set-up starts on a collected heap, as
+   it does in a fresh process: otherwise it would pay the major-GC work
+   the previous pass left behind. *)
 let sample_setup st workload ~seed =
-  let rec go k =
+  let k = setup_chunk workload in
+  let rec go i total menu_total =
+    Gc.full_major ();
     let t0 = now_ns () in
     let result, menu_ns, nodes = setup_once workload ~seed in
-    st.setup_ns <- (now_ns () - t0) :: st.setup_ns;
-    st.menu_ns <- menu_ns :: st.menu_ns;
+    let total = total + (now_ns () - t0) and menu_total = menu_total + menu_ns in
     st.menu_nodes <- nodes;
-    if k <= 1 then result else go (k - 1)
+    if i < k then go (i + 1) total menu_total
+    else begin
+      st.setup_ns <- (total / k) :: st.setup_ns;
+      st.menu_ns <- (menu_total / k) :: st.menu_ns;
+      result
+    end
   in
-  go (setup_chunk workload)
+  go 1 0 0
+
+(* The collection before each set-up leaves the next pass starting at the
+   same minor-heap fill every time, and a seed-dependent one. What a fuzz
+   pass promotes depends on it: each campaign builds its schedule list up
+   front, and whether a minor collection falls while that list is live
+   moves promoted words per run by a fifth. Allocating, untimed, a share
+   of the minor heap that differs from pass to pass spreads the passes
+   over fill levels, so the per-run GC figures average over them. *)
+let shift_minor_heap pass_index =
+  let words = (Gc.get ()).Gc.minor_heap_size in
+  let share = Float.rem (float_of_int pass_index *. 0.6180339887) 1.0 in
+  for _ = 1 to int_of_float (share *. float_of_int words) / 4 do
+    ignore (Sys.opaque_identity (Array.make 3 0))
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Traced passes                                                        *)
@@ -929,11 +927,11 @@ let json_of_ledger (l : ledger) =
 (* Main                                                                 *)
 
 let usage =
-  "bench.exe --workload sweep-none|sweep-dedup|sweep-omit|fuzz --seed N \
+  "bench.exe --workload sweep-none|sweep-omit|fuzz --seed N \
    --seconds N --trace 0|1 [--spans FILE]"
 
 let () =
-  let workload = ref "" and seed = ref default_seed and seconds = ref 25
+  let workload = ref "" and seed = ref default_seed and seconds = ref 30
   and trace = ref 0 and spans_file = ref "" in
   Arg.parse
     [
@@ -970,7 +968,10 @@ let () =
   let rec timed acc =
     ignore (sample_setup st w ~seed);
     if now_ns () - started >= window then List.rev acc
-    else timed (pass "timed" :: acc)
+    else begin
+      shift_minor_heap (List.length acc);
+      timed (pass "timed" :: acc)
+    end
   in
   let timed = timed [ first ] in
   let traced =

@@ -22,7 +22,6 @@ did not, 2 when the benchmark could not build or run.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import signal
@@ -35,7 +34,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import metrics  # noqa: E402
 
-WORKLOADS = ("sweep-none", "sweep-dedup", "sweep-omit", "fuzz")
+WORKLOADS = ("sweep-none", "sweep-omit", "fuzz")
 TARGET = "./perfbench/bench.exe"
 EXE = os.path.join("_build", "default", "perfbench", "bench.exe")
 OUT = ".perfbench_out"
@@ -67,23 +66,8 @@ def build():
         fail("build failed")
 
 
-def source_digest():
-    """sha256 over the sources the benchmark builds from, standing in for
-    the commit when the tree is not a git checkout."""
-    h = hashlib.sha256()
-    for top in ("dune-project", "lib", "perfbench"):
-        paths = [top] if os.path.isfile(top) else sorted(
-            os.path.join(d, f) for d, _, fs in os.walk(top) for f in fs
-        )
-        for path in sorted(paths):
-            if path.endswith((".ml", ".mli", "dune", "dune-project", ".py")):
-                h.update(path.encode())
-                with open(path, "rb") as f:
-                    h.update(f.read())
-    return h.hexdigest()
-
-
 def commit():
+    """The commit checked out, or None outside a git checkout."""
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -103,7 +87,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[1])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=25)
+    ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
 
@@ -138,14 +122,13 @@ def main():
 
     provenance = {
         "commit": commit(),
-        "source_sha256": source_digest(),
         "ocaml": raw["ocaml_version"],
         "nproc": os.cpu_count(),
         "loadavg_start": load_start,
         "loadavg_end": load_end,
         "wall_s": time.time() - started,
         "timed_passes": sum(p["kind"] == "timed" for p in raw["passes"]),
-        "setup_samples": len(raw["setup_s"]),
+        "setup_chunks": len(raw["setup_s"]),
     }
     with open(stem + ".json", "w") as f:
         json.dump(
