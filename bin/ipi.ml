@@ -561,18 +561,6 @@ let sweep_cmd =
             "Worker domains for the sweep; 0 means one per recommended \
              core. The result is bit-identical to --jobs 1.")
   in
-  let mode_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (enum [ ("serial", `Serial); ("incremental", `Incremental) ])
-          `Incremental
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "serial re-simulates every schedule from round 1 (the \
-             baseline); incremental (default) shares schedule prefixes. \
-             Ignored when --jobs > 1 (parallel sweeps are always \
-             incremental).")
-  in
   let reduce_arg =
     Cmdliner.Arg.(
       value
@@ -586,7 +574,7 @@ let sweep_cmd =
              verdicts), or dedup+sym (additionally collapse --binary \
              assignments to the n+1 proposal-count orbits when the \
              algorithm is symmetric; exact aggregates, one witness per \
-             orbit). Reductions imply incremental mode.")
+             orbit).")
   in
   let metrics_arg =
     Cmdliner.Arg.(
@@ -702,7 +690,7 @@ let sweep_cmd =
             "Per-shard deadline under --workers: a worker silent past it \
              is killed and its shard reassigned (default 60).")
   in
-  let run label n t faults omit_budget jobs mode binary policy horizon reduce
+  let run label n t faults omit_budget jobs binary policy horizon reduce
       budget_s checkpoint checkpoint_every resume_path workers chaos_mode
       chaos_seed chunk_timeout table_cap spill_dir print_metrics show_progress
       heartbeat trace_file trace_format =
@@ -868,13 +856,10 @@ let sweep_cmd =
               Mc.Parallel.sweep_binary ~faults ~omit_budget ?deadline ~policy
                 ~metrics ?prof ~spans ~progress ~jobs ?horizon ~algo ~config
                 ()
-            else if mode = `Incremental then
+            else
               Mc.Exhaustive.sweep_binary_incremental ~faults ~omit_budget
                 ?deadline ~policy ~metrics ?horizon ?prof ~spans ~progress
                 ~algo ~config ()
-            else
-              Mc.Exhaustive.sweep_binary ~faults ~omit_budget ?deadline
-                ~policy ~metrics ?horizon ~algo ~config ()
       else begin
         let proposals = Sim.Runner.distinct_proposals config in
         match reduce with
@@ -897,13 +882,10 @@ let sweep_cmd =
               Mc.Parallel.sweep ~faults ~omit_budget ?deadline ~policy
                 ~metrics ?prof ~spans ~progress ~jobs ?horizon ~algo ~config
                 ~proposals ()
-            else if mode = `Incremental then
+            else
               Mc.Exhaustive.sweep_incremental ~faults ~omit_budget ?deadline
                 ~policy ~metrics ?horizon ?prof ~spans ~progress ~algo
                 ~config ~proposals ()
-            else
-              Mc.Exhaustive.sweep ~faults ~omit_budget ?deadline ~policy
-                ~metrics ?horizon ~algo ~config ~proposals ()
       end
     in
     let result =
@@ -963,7 +945,7 @@ let sweep_cmd =
           exit if any run violates consensus.")
     Cmdliner.Term.(
       const run $ algo_arg $ n_arg $ t_arg $ faults_arg $ omit_budget_arg
-      $ jobs_arg $ mode_arg $ binary_arg $ policy_arg $ horizon_arg
+      $ jobs_arg $ binary_arg $ policy_arg $ horizon_arg
       $ reduce_arg $ budget_arg $ checkpoint_arg $ checkpoint_every_arg
       $ resume_arg $ workers_arg $ chaos_arg $ chaos_seed_arg
       $ chunk_timeout_arg $ table_cap_arg $ spill_dir_arg $ metrics_arg

@@ -1,6 +1,6 @@
 open Kernel
 
-(* One monitored, contained, fueled run on the incremental engine core.
+(* One monitored, contained, fueled run on a one-shot engine arena.
    Rounds are stepped one by one so the monitor sees each round's new
    decisions as they happen; past the schedule horizon the shared
    precompiled empty plan keeps the loop allocation-free. *)
@@ -14,9 +14,9 @@ let run ?fuel ?(monitor = true) ~algo:(Sim.Algorithm.Packed (module A))
   in
   let horizon = Sim.Schedule.horizon schedule in
   let omitters = Sim.Schedule.omitter_set schedule in
-  let undecided st =
-    let decided = List.map (fun d -> d.Sim.Trace.pid) (E.Incremental.decisions st) in
-    let crashed = List.map fst (E.Incremental.crashed st) in
+  let undecided a =
+    let decided = List.map (fun d -> d.Sim.Trace.pid) (E.Arena.decisions a) in
+    let crashed = List.map fst (E.Arena.crashed a) in
     List.filter
       (fun p ->
         (not (List.exists (Pid.equal p) decided))
@@ -26,8 +26,8 @@ let run ?fuel ?(monitor = true) ~algo:(Sim.Algorithm.Packed (module A))
         && not (Pid.Set.mem p omitters))
       (Config.processes config)
   in
-  let completed st ~rounds =
-    let trace = E.Incremental.finish ~max_rounds:fuel ~schedule st in
+  let completed a ~rounds =
+    let trace = E.Arena.finish ~max_rounds:fuel ~schedule a in
     match Sim.Props.check trace with
     | [] ->
         Outcome.Passed
@@ -38,33 +38,30 @@ let run ?fuel ?(monitor = true) ~algo:(Sim.Algorithm.Packed (module A))
           }
     | violations -> Outcome.Violated { round = rounds; violations }
   in
-  try
-    let rec go st mon ~seen ~round =
-      if E.Incremental.all_halted st then completed st ~rounds:(round - 1)
-      else if round > fuel then
-        Outcome.Budget_exhausted { fuel; undecided = undecided st }
-      else
-        let plan =
-          if round <= horizon then
-            Sim.Schedule.compile_plan ~n
-              (Sim.Schedule.plan_at schedule (Round.of_int round))
-          else Sim.Schedule.compiled_empty_plan
+  E.Arena.one_shot config ~proposals (fun a ->
+      try
+        let rec go mon ~seen ~round =
+          if E.Arena.all_halted a then completed a ~rounds:(round - 1)
+          else if round > fuel then
+            Outcome.Budget_exhausted { fuel; undecided = undecided a }
+          else begin
+            E.Arena.step a
+              (if round <= horizon then
+                 Sim.Schedule.compile_plan ~n
+                   (Sim.Schedule.plan_at schedule (Round.of_int round))
+               else Sim.Schedule.compiled_empty_plan);
+            let decisions = E.Arena.decisions a in
+            if not monitor then
+              go mon ~seen:(List.length decisions) ~round:(round + 1)
+            else
+              let mon = Monitor.observe_all mon (Listx.drop seen decisions) in
+              match Monitor.violation mon with
+              | Some v -> Outcome.Violated { round; violations = [ v ] }
+              | None -> go mon ~seen:(List.length decisions) ~round:(round + 1)
+          end
         in
-        let st = E.Incremental.step st plan in
-        let decisions = E.Incremental.decisions st in
-        if not monitor then
-          go st mon ~seen:(List.length decisions) ~round:(round + 1)
-        else
-          let mon = Monitor.observe_all mon (Listx.drop seen decisions) in
-          match Monitor.violation mon with
-          | Some v -> Outcome.Violated { round; violations = [ v ] }
-          | None -> go st mon ~seen:(List.length decisions) ~round:(round + 1)
-    in
-    go
-      (E.Incremental.start config ~proposals)
-      (Monitor.create ~omitters ~proposals ())
-      ~seen:0 ~round:1
-  with Sim.Engine.Step_error e -> Outcome.Crashed e
+        go (Monitor.create ~omitters ~proposals ()) ~seen:0 ~round:1
+      with Sim.Engine.Step_error e -> Outcome.Crashed e)
 
 let run_contained ?fuel ?monitor ~algo ~config ~proposals schedule =
   try run ?fuel ?monitor ~algo ~config ~proposals schedule with

@@ -1,6 +1,6 @@
 (** The single-run executor of a fuzz campaign: one schedule simulated on
-    the incremental engine core with an online {!Monitor}, a round budget,
-    and {!Sim.Engine.Step_error} containment.
+    a one-shot engine arena ({!Sim.Engine.Make.Arena}) with an online
+    {!Monitor}, a round budget, and {!Sim.Engine.Step_error} containment.
 
     Monitoring changes {e when} a violation is detected, never {e whether}:
     with [monitor] on the run aborts at the violating round; with it off

@@ -9,7 +9,7 @@
 
     [(remaining depth, crash budget, alive victim set, declared
       send/receive-omitter sets, omission budget,
-      {!Sim.Engine.Make.Incremental.fingerprint})]
+      {!Sim.Engine.Make.Arena.fingerprint})]
 
     so each distinct [(key)] subtree is evaluated once. The memoised
     fragments store their witness/violation/crashed choice lists relative

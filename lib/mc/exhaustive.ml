@@ -204,7 +204,7 @@ let sweep_binary ?faults ?omit_budget ?deadline ?policy ?metrics ?horizon
     empty (binary_assignments config)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental (prefix-sharing) sweeps                                 *)
+(* Prefix-sharing (incremental) sweeps                                 *)
 
 (* The sweep result never looks at [Trace.t.schedule] ([Props.check] and
    [global_decision_round] read decisions, crashes, proposals, config and

@@ -165,10 +165,10 @@ val sweep_incremental :
   unit ->
   result
 (** Same result as {!sweep}, bit-identical (same runs, decision rounds,
-    witness and violation list), computed by carrying the resumable engine
-    state ({!Sim.Engine.Make.Incremental}) down the choice-tree DFS: the
-    shared prefix of two schedules is simulated once instead of once per
-    leaf.
+    witness and violation list), computed by carrying one engine arena
+    ({!Sim.Engine.Make.Arena}) down the choice-tree DFS, with a snapshot
+    at each branch point: the shared prefix of two schedules is simulated
+    once instead of once per leaf.
 
     Instrumentation (all default-off, none of it affects the result):
     [prof] accumulates per-engine-round GC deltas; [spans] records a
@@ -208,7 +208,7 @@ val sweep_prefix :
   prefix:Serial.choice list ->
   unit ->
   result * int
-(** Incremental sweep of the single subtree whose first rounds are pinned
+(** Prefix-sharing sweep of the single subtree whose first rounds are pinned
     to [prefix] — the unit of work {!Parallel} shards across domains.
     Returns the subtree's result together with the number of engine rounds
     stepped during the DFS (for the [mc.prefix_hits] accounting); reports
@@ -222,7 +222,7 @@ val sweep_prefix :
     {!sweep} observes run by run.
 
     [prof] measures every engine round the subtree executes (DFS edges
-    and {!Sim.Engine.Make.Incremental.finish} tails); [spans] wraps each
+    and {!Sim.Engine.Make.Arena.finish} tails); [spans] wraps each
     simulated leaf in a ["run"] span. When the caller is a parallel
     driver, both must be owned by the shard's worker domain — GC deltas
     and span recorders are single-domain. *)

@@ -16,15 +16,15 @@
     - [init], [on_send] and [on_receive] may not read clocks, randomness or
       any ambient mutable state, and may not mutate their inputs — given
       equal arguments they must return structurally equal results. The
-      whole simulation stack assumes this: the engine forks states at DFS
-      choice points without copying, fuzz campaigns replay runs from seeds,
-      and parallel sweeps re-run the same subtree on any domain expecting
-      bit-identical results.
+      whole simulation stack assumes this: the arena's snapshots keep
+      states at DFS choice points without copying them, fuzz campaigns
+      replay runs from seeds, and parallel sweeps re-run the same subtree
+      on any domain expecting bit-identical results.
     - [state] and [msg] must contain no functions, no mutable fields and no
       abstract values with non-structural identity (no closures, refs,
       arrays that are later mutated, hash tables, ...). The model checker's
       transposition table ({!Mc.Dedup}) keys on
-      {!Engine.Make.Incremental.fingerprint}, which embeds algorithm states
+      {!Engine.Make.Arena.fingerprint}, which embeds algorithm states
       and message payloads and compares them with polymorphic [(=)] /
       [Hashtbl.hash]; a state violating this is not {e unsound} (a missed
       structural equality only loses cache hits) but a state whose

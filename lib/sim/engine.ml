@@ -272,480 +272,19 @@ module Make (A : Algorithm.S) = struct
     }
 
   (* ---------------------------------------------------------------- *)
-  (* The resumable checker core.
-
-     Same round semantics as [step]/[run] above, on a representation tuned
-     for the model checker's DFS: processes live in a flat array (copied
-     per step — n words — instead of rebalancing [Pid.Map]s), current-round
-     inboxes are built directly in sender order (no [Int_map] enqueue per
-     copy, no per-inbox sort), and a quiet round with no pending delayed
-     messages shares one physically-identical envelope list between all n
-     receivers. Each [step] returns a fresh immutable value, so a DFS forks
-     the state at every choice point and re-simulates nothing: the shared
-     prefix of two schedules is executed once.
-
-     This core does not record round records and does not emit events —
-     observability belongs to [run]. *)
-
-  module Incremental = struct
-    type t = {
-      i_config : Config.t;
-      i_proposals : Value.t Pid.Map.t;
-      i_next : int;  (* next round to execute *)
-      i_procs : proc array;  (* process [p] at index [p - 1] *)
-      i_live : int;  (* number of [Running] entries *)
-      i_late : A.msg Envelope.t list Pid.Map.t Int_map.t;
-          (* delayed deliveries: round -> receiver -> envelopes *)
-      i_rev_decisions : Trace.decision list;
-    }
-
-    let start config ~proposals =
-      let n = Config.n config in
-      let procs =
-        Array.init n (fun i ->
-            let p = Pid.of_int (i + 1) in
-            match Pid.Map.find_opt p proposals with
-            | Some v -> Running (A.init config p v)
-            | None ->
-                invalid_arg
-                  (Format.asprintf "Engine.Incremental.start: no proposal \
-                                    for %a"
-                     Pid.pp p))
-      in
-      {
-        i_config = config;
-        i_proposals = proposals;
-        i_next = 1;
-        i_procs = procs;
-        i_live = n;
-        i_late = Int_map.empty;
-        i_rev_decisions = [];
-      }
-
-    let next_round t = Round.of_int t.i_next
-    let all_halted t = t.i_live = 0
-    let decisions t = List.rev t.i_rev_decisions
-
-    let crashed t =
-      let acc = ref [] in
-      for i = Array.length t.i_procs - 1 downto 0 do
-        match t.i_procs.(i) with
-        | Crashed r -> acc := (Pid.of_int (i + 1), r) :: !acc
-        | Running _ | Done _ -> ()
-      done;
-      !acc
-
-    (* ---------------------------------------------------------------- *)
-    (* Canonical snapshots.
-
-       Two states with equal fingerprints produce identical sweep verdicts
-       for every suffix of adversary choices: the aggregates a sweep
-       extracts from a finished trace ([Props.check] and
-       [Trace.global_decision_round]) read only the decisions list (values,
-       pids and rounds), the crashed pid set, the proposals (fixed per
-       sweep) and the all-halted flag, while the {e future} evolution is a
-       deterministic function of the running states, the in-flight delayed
-       messages and the round number (part of the caller's key). So the
-       fingerprint keeps [Running] states structurally but collapses [Done]
-       and [Crashed] to bare tags: a halted process has no future behaviour
-       and its halting round is not observable in any verdict, and a
-       crashed process contributes only its pid (via its slot) — crash
-       rounds are dropped by [Trace.correct] and [Props].
-
-       Everything inside is plain immutable data (see {!Algorithm.S} on
-       purity), so polymorphic structural equality and [Hashtbl.hash] are
-       meaningful on it — that is the contract {!Mc.Dedup} relies on.
-       [i_late] is re-keyed to canonical int/bindings form; queue order
-       inside a delivery slot is preserved (it affects inbox order, hence
-       the future), so two states differing only there conservatively miss
-       rather than alias. *)
-
-    type proc_fp = Fp_running of A.state | Fp_done | Fp_crashed
-
-    type fingerprint = {
-      fp_procs : proc_fp array;
-      fp_late : (int * (int * A.msg Envelope.t list) list) list;
-      fp_decisions : Trace.decision list;
-    }
-
-    let fingerprint t =
-      {
-        fp_procs =
-          Array.map
-            (function
-              | Running st -> Fp_running st
-              | Done _ -> Fp_done
-              | Crashed _ -> Fp_crashed)
-            t.i_procs;
-        fp_late =
-          Int_map.fold
-            (fun k per acc ->
-              ( k,
-                List.map
-                  (fun (p, q) -> (Pid.to_int p, q))
-                  (Pid.Map.bindings per) )
-              :: acc)
-            t.i_late [];
-        fp_decisions = t.i_rev_decisions;
-      }
-
-    let step t cplan =
-      let n = Config.n t.i_config in
-      let round = Round.of_int t.i_next in
-      let plan = Schedule.compiled_source cplan in
-      let late_due = Int_map.find_opt t.i_next t.i_late in
-      let late =
-        if late_due = None then ref t.i_late
-        else ref (Int_map.remove t.i_next t.i_late)
-      in
-      (* Send phase, from the pre-crash process states. Iterating senders
-         from [n] down to 1 and consing builds every inbox already sorted
-         by sender id, which is the order [run] delivers in. *)
-      let inboxes =
-        if Schedule.compiled_quiet cplan && late_due = None then begin
-          let all = ref [] in
-          for src = n downto 1 do
-            match t.i_procs.(src - 1) with
-            | Running st ->
-                let srcp = Pid.of_int src in
-                all :=
-                  Envelope.make ~src:srcp ~sent:round
-                    (send_guarded st ~pid:srcp round)
-                  :: !all
-            | Done _ | Crashed _ -> ()
-          done;
-          Array.make n !all
-        end
-        else begin
-          match
-            if late_due = None then Schedule.compiled_single_lost cplan
-            else None
-          with
-          | Some (victim, lost_dsts) ->
-              (* The serial-adversary shape: only [victim]'s messages are
-                 lost, to exactly [lost_dsts]. Build two shared inboxes —
-                 everyone's envelopes, and everyone's except the victim's —
-                 and point each receiver at one of them: ~2n conses per
-                 round instead of n^2, and no per-copy fate query. *)
-              let all = ref [] and reduced = ref [] in
-              for src = n downto 1 do
-                match t.i_procs.(src - 1) with
-                | Running st ->
-                    let srcp = Pid.of_int src in
-                    let env =
-                      Envelope.make ~src:srcp ~sent:round
-                        (send_guarded st ~pid:srcp round)
-                    in
-                    all := env :: !all;
-                    if not (Pid.equal srcp victim) then
-                      reduced := env :: !reduced
-                | Done _ | Crashed _ -> ()
-              done;
-              let all = !all and reduced = !reduced in
-              Array.init n (fun i ->
-                  if Bitset.Big.mem (i + 1) lost_dsts then reduced else all)
-          | None ->
-          let ib = Array.make n [] in
-          for src = n downto 1 do
-            match t.i_procs.(src - 1) with
-            | Done _ | Crashed _ -> ()
-            | Running st ->
-                let srcp = Pid.of_int src in
-                let env =
-                  Envelope.make ~src:srcp ~sent:round
-                    (send_guarded st ~pid:srcp round)
-                in
-                for dst = 1 to n do
-                  if dst = src then ib.(dst - 1) <- env :: ib.(dst - 1)
-                  else
-                    match
-                      Schedule.compiled_fate cplan ~src:srcp
-                        ~dst:(Pid.of_int dst)
-                    with
-                    | Schedule.Same_round ->
-                        ib.(dst - 1) <- env :: ib.(dst - 1)
-                    | Schedule.Lost -> ()
-                    | Schedule.Delayed_until until ->
-                        let k = Round.to_int until in
-                        let dstp = Pid.of_int dst in
-                        let per =
-                          Option.value
-                            (Int_map.find_opt k !late)
-                            ~default:Pid.Map.empty
-                        in
-                        let q =
-                          Option.value
-                            (Pid.Map.find_opt dstp per)
-                            ~default:[]
-                        in
-                        late :=
-                          Int_map.add k
-                            (Pid.Map.add dstp (env :: q) per)
-                            !late
-                done
-          done;
-          (match late_due with
-          | None -> ()
-          | Some per ->
-              (* Late arrivals break the by-construction sender order:
-                 merge and re-sort exactly like the batch engine. *)
-              Pid.Map.iter
-                (fun dst q ->
-                  let i = Pid.to_int dst - 1 in
-                  ib.(i) <-
-                    List.sort Envelope.compare_src (List.rev_append q ib.(i)))
-                per);
-          ib
-        end
-      in
-      (* Crashes take effect before the receive phase. *)
-      let procs = Array.copy t.i_procs in
-      let live = ref t.i_live in
-      List.iter
-        (fun victim ->
-          let i = Pid.to_int victim - 1 in
-          match procs.(i) with
-          | Running _ ->
-              procs.(i) <- Crashed round;
-              decr live
-          | Done _ | Crashed _ -> ())
-        plan.Schedule.crashes;
-      (* Receive phase. *)
-      let rev_new = ref [] in
-      for i = 0 to n - 1 do
-        match procs.(i) with
-        | Done _ | Crashed _ -> ()
-        | Running st ->
-            let p = Pid.of_int (i + 1) in
-            let before = A.decision st in
-            let st' = receive_guarded st ~pid:p round inboxes.(i) in
-            let after = A.decision st' in
-            (match (before, after) with
-            | Some v, Some w when not (Value.equal v w) ->
-                fail ~pid:p ~round
-                  (Format.asprintf "changed its decision from %a to %a"
-                     Value.pp v Value.pp w)
-            | Some _, None -> fail ~pid:p ~round "retracted its decision"
-            | None, Some v ->
-                rev_new := { Trace.pid = p; round; value = v } :: !rev_new
-            | None, None | Some _, Some _ -> ());
-            if A.halted st' then begin
-              procs.(i) <- Done (round, st');
-              decr live
-            end
-            else procs.(i) <- Running st'
-      done;
-      {
-        t with
-        i_next = t.i_next + 1;
-        i_procs = procs;
-        i_live = !live;
-        i_late = !late;
-        (* [rev_new] is descending by pid, so prepending keeps the same
-           shape [step] produces: per-round decisions sorted by pid once
-           the whole list is reversed. *)
-        i_rev_decisions = !rev_new @ t.i_rev_decisions;
-      }
-
-    (* ---------------------------------------------------------------- *)
-    (* The flat tail.
-
-       Past the schedule horizon every plan is empty: no crashes, no
-       losses, no new delays — only quiet rounds plus whatever delayed
-       deliveries are already queued in [i_late]. Nothing forks there (the
-       DFS branches only on in-horizon choices), so immutability buys
-       nothing and [finish] switches to struct-of-arrays state mutated in
-       place: a status byte and an [A.state] slot per process, and one
-       shared inbox "spine" — a single envelope per running sender, whose
-       mutable [sent]/[payload] cells are refreshed each round instead of
-       reallocated (see the loan contract in {!Envelope}). With an
-       algorithm whose steady state is allocation-free, a steady quiet
-       round allocates nothing at all; the spine is rebuilt (the only
-       allocating event) exactly when the running set changes. *)
-
-    let flat_tail ?prof ~max_rounds ~schedule t =
-      let n = Config.n t.i_config in
-      let status = Bytes.make n '\001' (* '\000' running, '\001' stopped *) in
-      let filler =
-        let rec first i =
-          match t.i_procs.(i) with
-          | Running st -> st
-          | Done _ | Crashed _ -> first (i + 1)
-        in
-        first 0 (* flat_tail is only entered with [i_live > 0] *)
-      in
-      let states = Array.make n filler in
-      for i = 0 to n - 1 do
-        match t.i_procs.(i) with
-        | Running st ->
-            Bytes.set status i '\000';
-            states.(i) <- st
-        | Done _ | Crashed _ -> ()
-      done;
-      let live = ref t.i_live in
-      let late = ref t.i_late in
-      let next = ref t.i_next in
-      let rev_decisions = ref t.i_rev_decisions in
-      let spine = ref [] in
-      let spine_valid = ref false in
-      (* Same [n] downto 1 iteration as the immutable quiet path, so the
-         spine is ascending by sender and [on_send] call order matches. *)
-      let rebuild round =
-        let all = ref [] in
-        for src = n downto 1 do
-          if Bytes.get status (src - 1) = '\000' then begin
-            let srcp = Pid.of_int src in
-            all :=
-              Envelope.make ~src:srcp ~sent:round
-                (send_guarded states.(src - 1) ~pid:srcp round)
-              :: !all
-          end
-        done;
-        spine := !all;
-        spine_valid := true
-      in
-      (* Recursive loop, not [List.iter f]: an inner closure over [round]
-         would cost an allocation per round. *)
-      let rec refresh round = function
-        | [] -> ()
-        | (e : A.msg Envelope.t) :: rest ->
-            e.Envelope.sent <- round;
-            e.Envelope.payload <-
-              send_guarded
-                states.(Pid.to_int e.Envelope.src - 1)
-                ~pid:e.Envelope.src round;
-            refresh round rest
-      in
-      let step_flat () =
-        let round = Round.of_int !next in
-        (* Send phase: refresh the spine cells in place, or rebuild the
-           list if the sender set changed since last round. *)
-        if !spine_valid then refresh round !spine else rebuild round;
-        let due =
-          if Int_map.is_empty !late then None
-          else
-            match Int_map.find_opt !next !late with
-            | None -> None
-            | Some per ->
-                late := Int_map.remove !next !late;
-                Some per
-        in
-        (* Receive phase, ascending pid. Merged inboxes for late-delivery
-           rounds contain the loaned spine cells — they are read within
-           this round only, before the next refresh, so sharing is safe.
-           The late envelopes themselves are never mutated: fingerprints
-           taken before the tail may still reference them. *)
-        let any_stopped = ref false in
-        for i = 0 to n - 1 do
-          if Bytes.get status i = '\000' then begin
-            let p = Pid.of_int (i + 1) in
-            let inbox =
-              match due with
-              | None -> !spine
-              | Some per -> (
-                  match Pid.Map.find_opt p per with
-                  | None -> !spine
-                  | Some q ->
-                      List.sort Envelope.compare_src
-                        (List.rev_append q !spine))
-            in
-            let st = states.(i) in
-            let before = A.decision st in
-            let st' = receive_guarded st ~pid:p round inbox in
-            let after = A.decision st' in
-            (match (before, after) with
-            | Some v, Some w when not (Value.equal v w) ->
-                fail ~pid:p ~round
-                  (Format.asprintf "changed its decision from %a to %a"
-                     Value.pp v Value.pp w)
-            | Some _, None -> fail ~pid:p ~round "retracted its decision"
-            | None, Some v ->
-                (* Consing in ascending-pid order leaves this round's
-                   decisions descending by pid at the front — the same
-                   shape [step]'s [!rev_new @ _] prepend produces. *)
-                rev_decisions :=
-                  { Trace.pid = p; round; value = v } :: !rev_decisions
-            | None, None | Some _, Some _ -> ());
-            if A.halted st' then begin
-              Bytes.set status i '\001';
-              decr live;
-              any_stopped := true
-            end
-            else states.(i) <- st'
-          end
-        done;
-        if !any_stopped then spine_valid := false;
-        incr next
-      in
-      (match prof with
-      | None ->
-          while !live > 0 && !next <= max_rounds do
-            step_flat ()
-          done
-      | Some a ->
-          (* One preallocated thunk: [measure] per round must not cost a
-             closure per round. *)
-          while !live > 0 && !next <= max_rounds do
-            Obs.Prof.measure a step_flat
-          done);
-      {
-        Trace.algorithm = A.name;
-        config = t.i_config;
-        proposals = t.i_proposals;
-        schedule;
-        decisions = List.rev !rev_decisions;
-        crashes = crashed t (* no crashes occur past the horizon *);
-        rounds_executed = !next - 1;
-        all_halted = !live = 0;
-        records = [];
-      }
-
-    let finish ?max_rounds ?prof ~schedule t =
-      let max_rounds =
-        Option.value max_rounds
-          ~default:(default_max_rounds t.i_config schedule)
-      in
-      let n = Config.n t.i_config in
-      let horizon = Schedule.horizon schedule in
-      let rec loop t =
-        if t.i_live = 0 || t.i_next > max_rounds then
-          {
-            Trace.algorithm = A.name;
-            config = t.i_config;
-            proposals = t.i_proposals;
-            schedule;
-            decisions = decisions t;
-            crashes = crashed t;
-            rounds_executed = t.i_next - 1;
-            all_halted = t.i_live = 0;
-            records = [];
-          }
-        else if t.i_next > horizon then flat_tail ?prof ~max_rounds ~schedule t
-        else
-          let cplan =
-            Schedule.compile_plan ~n
-              (Schedule.plan_at schedule (Round.of_int t.i_next))
-          in
-          let t' =
-            match prof with
-            | None -> step t cplan
-            | Some a -> Obs.Prof.measure a (fun () -> step t cplan)
-          in
-          loop t'
-      in
-      loop t
-  end
-
-  (* ---------------------------------------------------------------- *)
   (* The mutable arena.
 
-     [Incremental.step] is immutable so the DFS can fork — at the cost of
-     a fresh system value (procs array, decision list node, envelopes) per
-     round, ≈140 minor words. The arena takes the opposite trade: it is
-     the flat-tail representation (status slab, state array, reusable
-     envelope spine, see [Incremental.flat_tail]) promoted to a first-class
-     value with explicit branch-point snapshots, so the DFS mutates one
-     arena in place and rewinds it on backtrack instead of forking.
+     The one execution core behind the record-free [run], the fuzz
+     harness and every model-checker sweep. Processes live in a status
+     slab and a state array mutated in place, and each sender owns one
+     reusable envelope cell whose [sent]/[payload] are refreshed every
+     round instead of reallocated (the {!Envelope} loan contract): with an
+     algorithm whose steady state is allocation-free, a steady quiet round
+     allocates nothing, and the inbox spine is relinked only when the
+     running set changes. A DFS over adversary choices mutates one arena
+     and rewinds it on backtrack with explicit branch-point snapshots,
+     instead of forking an immutable system value per round (≈140 minor
+     words a round, DESIGN §16).
 
      Snapshots are copy-on-branch, not an undo log: a snapshot is two
      blits (n status bytes, n state words) plus four scalar stores into a
@@ -755,12 +294,13 @@ module Make (A : Algorithm.S) = struct
      DESIGN §16). Slots live in a stack grown once to the DFS depth and
      reused for the rest of the sweep.
 
-     Round semantics are bit-identical to [Incremental.step]: same
-     [on_send] call order (n downto 1), same ascending-pid receive phase,
-     same decision-stability errors, same decision-list shape. The spine
-     cells are loaned to receivers within a round only (the {!Envelope}
-     loan contract); delayed envelopes are always fresh and never mutated,
-     so fingerprints may reference them across rounds. *)
+     Round semantics are those of the recording engine's [step] above:
+     [on_send] in ascending pid order from the pre-crash states, crashes
+     before the receive phase, an ascending-pid receive phase over inboxes
+     sorted by sender, the same decision-stability errors and the same
+     decision-list shape. The spine cells are loaned to receivers within a
+     round only; delayed envelopes are always fresh and never mutated, so
+     fingerprints may reference them across rounds. *)
 
   module Arena = struct
     let st_running = '\000'
@@ -789,6 +329,23 @@ module Make (A : Algorithm.S) = struct
       mutable fp_decisions : Trace.decision list;
     }
 
+    (* DFS branches revisit the same (status, fault) pairs constantly, so
+       once an arena has taken a snapshot its spines and reduced inboxes
+       are interned by status byte-string: after the first visit a faulty
+       round performs two hash lookups ([Hashtbl.find] with a
+       constant-constructor [Not_found] on miss — no [option] box) and
+       allocates nothing. Sound because the cached lists are alternative
+       cons-chains over the {e same} reusable cells, which are only ever
+       refreshed in place, never replaced. A run that never branches never
+       revisits a status, so it builds no tables. *)
+    type tables = {
+      spines : (Bytes.t, A.msg Envelope.t list) Hashtbl.t;
+      lost : (Bytes.t, A.msg Envelope.t list) Hashtbl.t array;
+          (* indexed by [sl_src - 1] *)
+      dst_srcs :
+        (Bitset.Big.t, (Bytes.t, A.msg Envelope.t list) Hashtbl.t) Hashtbl.t;
+    }
+
     type t = {
       a_config : Config.t;
       a_proposals : Value.t Pid.Map.t;
@@ -807,17 +364,7 @@ module Make (A : Algorithm.S) = struct
       a_cells : A.msg Envelope.t option array;
       mutable a_spine : A.msg Envelope.t list;
       a_spine_status : Bytes.t;
-      (* DFS branches revisit the same (status, fault) pairs constantly, so
-         spines and reduced inboxes are interned by status byte-string:
-         after the first visit a faulty round performs two hash lookups
-         ([Hashtbl.find] with a constant-constructor [Not_found] on miss —
-         no [option] box) and allocates nothing. Sound because the cached
-         lists are alternative cons-chains over the {e same} reusable
-         cells, which are only ever refreshed in place, never replaced. *)
-      a_spines : (Bytes.t, A.msg Envelope.t list) Hashtbl.t;
-      a_lost : (Bytes.t, A.msg Envelope.t list) Hashtbl.t array;
-          (* indexed by [sl_src - 1] *)
-      a_dst_srcs : (Bitset.Big.t, (Bytes.t, A.msg Envelope.t list) Hashtbl.t) Hashtbl.t;
+      mutable a_tables : tables option;  (* [None] until the first [save] *)
       mutable a_stack : snap array;
       mutable a_depth : int;
       mutable a_snapshots : int;
@@ -853,9 +400,7 @@ module Make (A : Algorithm.S) = struct
         a_cells = Array.make n None;
         a_spine = [];
         a_spine_status = Bytes.make n '\255' (* never a valid status *);
-        a_spines = Hashtbl.create 64;
-        a_lost = Array.init n (fun _ -> Hashtbl.create 16);
-        a_dst_srcs = Hashtbl.create 8;
+        a_tables = None;
         a_stack = [||];
         a_depth = 0;
         a_snapshots = 0;
@@ -891,6 +436,16 @@ module Make (A : Algorithm.S) = struct
     let save t =
       let n = t.a_n in
       if t.a_depth = Array.length t.a_stack then begin
+        (* The first save, or a DFS deeper than any before: grow the stack,
+           and start interning — branching is what revisits statuses. *)
+        if Option.is_none t.a_tables then
+          t.a_tables <-
+            Some
+              {
+                spines = Hashtbl.create 64;
+                lost = Array.init n (fun _ -> Hashtbl.create 16);
+                dst_srcs = Hashtbl.create 8;
+              };
         let depth = t.a_depth in
         let grown =
           Array.init
@@ -947,12 +502,22 @@ module Make (A : Algorithm.S) = struct
           :: acc)
         late []
 
-    (* Same equivalence classes as [Incremental.fingerprint]: the status
-       byte plays the [Fp_running]/[Fp_done]/[Fp_crashed] tag and
-       non-running state slots are pinned to one filler, so two arena
-       fingerprints are structurally equal exactly when the corresponding
-       incremental fingerprints are — Dedup's hit/miss sequence is
-       unchanged. *)
+    (* Two states with equal fingerprints produce identical sweep verdicts
+       for every suffix of adversary choices. The aggregates a sweep
+       extracts from a finished trace ([Props.check] and
+       [Trace.global_decision_round]) read only the decisions (values, pids
+       and rounds), the crashed pid set, the proposals (fixed per sweep)
+       and the all-halted flag, while the {e future} evolution is a
+       deterministic function of the running states, the in-flight delayed
+       messages and the round number (part of the caller's key). So the
+       status byte tags each slot, running slots keep their state, and
+       non-running slots are pinned to one filler: a halted process has no
+       future behaviour and its halting round is not observable in any
+       verdict, and crash rounds are dropped by [Trace.correct] and
+       [Props]. The late map is re-keyed to canonical int/bindings form;
+       queue order inside a delivery slot is preserved (it affects inbox
+       order, hence the future), so two states differing only there
+       conservatively miss rather than alias. *)
     let probe_fingerprint t =
       let fp = t.a_fp in
       Bytes.blit t.a_status 0 fp.fp_status 0 t.a_n;
@@ -990,13 +555,13 @@ module Make (A : Algorithm.S) = struct
           end;
           apply_crashes t round rest
 
-    (* Refresh every running sender's cell in place — [n] downto 1, the
-       same [on_send] call order as [Incremental.step], so a raising
-       callback is attributed to the same process. Cells are created at
-       first use (a process not running at one branch's first fast round
-       may be running after a restore in another). *)
+    (* Refresh every running sender's cell in place, in ascending pid
+       order like the recording engine, so a raising [on_send] is
+       attributed to the same process. Cells are created at first use (a
+       process not running at one branch's first fast round may be running
+       after a restore in another). *)
     let refresh_cells t round =
-      for src = t.a_n downto 1 do
+      for src = 1 to t.a_n do
         if Bytes.get t.a_status (src - 1) = st_running then begin
           let srcp = Pid.of_int src in
           match t.a_cells.(src - 1) with
@@ -1015,61 +580,60 @@ module Make (A : Algorithm.S) = struct
     let cell t src =
       match t.a_cells.(src - 1) with Some e -> e | None -> assert false
 
-    let spine_for t =
-      match Hashtbl.find t.a_spines t.a_status with
-      | spine -> spine
+    (* The running cells in ascending sender order, without [skip] (a pid,
+       or 0 for none) and the members of [skip_set]: the spine, or a
+       reduced inbox with one omitter's or a set of omitters' messages
+       removed. *)
+    let collect t ~skip ~skip_set =
+      let acc = ref [] in
+      for src = t.a_n downto 1 do
+        if
+          Bytes.get t.a_status (src - 1) = st_running
+          && src <> skip
+          && not (Bitset.Big.mem src skip_set)
+        then acc := cell t src :: !acc
+      done;
+      !acc
+
+    let interned tbl t ~skip ~skip_set =
+      match Hashtbl.find tbl t.a_status with
+      | l -> l
       | exception Not_found ->
-          let all = ref [] in
-          for src = t.a_n downto 1 do
-            if Bytes.get t.a_status (src - 1) = st_running then
-              all := cell t src :: !all
-          done;
-          Hashtbl.add t.a_spines (Bytes.copy t.a_status) !all;
-          !all
+          let l = collect t ~skip ~skip_set in
+          Hashtbl.add tbl (Bytes.copy t.a_status) l;
+          l
 
     let relink_spine t =
       if not (Bytes.equal t.a_status t.a_spine_status) then begin
-        t.a_spine <- spine_for t;
+        let skip_set = Bitset.Big.empty in
+        t.a_spine <-
+          (match t.a_tables with
+          | None -> collect t ~skip:0 ~skip_set
+          | Some tb -> interned tb.spines t ~skip:0 ~skip_set);
         Bytes.blit t.a_status 0 t.a_spine_status 0 t.a_n
       end
 
-    (* Reduced inboxes ([sl_src]'s or [sd_srcs]'s messages removed) keyed
-       the same way; [Single_lost] nests by source in an array,
-       [Single_dst] by the canonical omitter bitset. *)
+    (* Reduced inboxes are interned the same way; [Single_lost] nests by
+       source in an array, [Single_dst] by the canonical omitter bitset. *)
     let reduced_lost t sl_src =
-      let tbl = t.a_lost.(sl_src - 1) in
-      match Hashtbl.find tbl t.a_status with
-      | l -> l
-      | exception Not_found ->
-          let acc = ref [] in
-          for src = t.a_n downto 1 do
-            if src <> sl_src && Bytes.get t.a_status (src - 1) = st_running
-            then acc := cell t src :: !acc
-          done;
-          Hashtbl.add tbl (Bytes.copy t.a_status) !acc;
-          !acc
+      let skip_set = Bitset.Big.empty in
+      match t.a_tables with
+      | None -> collect t ~skip:sl_src ~skip_set
+      | Some tb -> interned tb.lost.(sl_src - 1) t ~skip:sl_src ~skip_set
 
     let reduced_dst t sd_srcs =
-      let tbl =
-        match Hashtbl.find t.a_dst_srcs sd_srcs with
-        | tbl -> tbl
-        | exception Not_found ->
-            let tbl = Hashtbl.create 16 in
-            Hashtbl.add t.a_dst_srcs sd_srcs tbl;
-            tbl
-      in
-      match Hashtbl.find tbl t.a_status with
-      | l -> l
-      | exception Not_found ->
-          let acc = ref [] in
-          for src = t.a_n downto 1 do
-            if
-              Bytes.get t.a_status (src - 1) = st_running
-              && not (Bitset.Big.mem src sd_srcs)
-            then acc := cell t src :: !acc
-          done;
-          Hashtbl.add tbl (Bytes.copy t.a_status) !acc;
-          !acc
+      match t.a_tables with
+      | None -> collect t ~skip:0 ~skip_set:sd_srcs
+      | Some tb ->
+          let tbl =
+            match Hashtbl.find tb.dst_srcs sd_srcs with
+            | tbl -> tbl
+            | exception Not_found ->
+                let tbl = Hashtbl.create 16 in
+                Hashtbl.add tb.dst_srcs sd_srcs tbl;
+                tbl
+          in
+          interned tbl t ~skip:0 ~skip_set:sd_srcs
 
     let receive_one t p round inbox =
       let i = Pid.to_int p - 1 in
@@ -1085,8 +649,9 @@ module Make (A : Algorithm.S) = struct
       | Some _, None -> fail ~pid:p ~round "retracted its decision"
       | None, Some v ->
           (* Consing in ascending-pid order leaves this round's decisions
-             descending by pid at the front — the same shape
-             [Incremental.step] produces. *)
+             descending by pid at the front: reversed, the list is
+             chronological and sorted by pid within a round, as the
+             recording engine builds it. *)
           t.a_decisions <-
             { Trace.pid = p; round; value = v } :: t.a_decisions
       | None, None | Some _, Some _ -> ());
@@ -1095,6 +660,38 @@ module Make (A : Algorithm.S) = struct
         t.a_live <- t.a_live - 1
       end
       else t.a_states.(i) <- st'
+
+    (* Route a general round's fresh envelopes, given newest sender first:
+       consing them in that order leaves every inbox and every late queue
+       ascending by sender. *)
+    let rec route t cplan ib = function
+      | [] -> ()
+      | (env : A.msg Envelope.t) :: rest ->
+          let srcp = env.Envelope.src in
+          let src = Pid.to_int srcp in
+          for dst = 1 to t.a_n do
+            if dst = src then ib.(dst - 1) <- env :: ib.(dst - 1)
+            else
+              match
+                Schedule.compiled_fate cplan ~src:srcp ~dst:(Pid.of_int dst)
+              with
+              | Schedule.Same_round -> ib.(dst - 1) <- env :: ib.(dst - 1)
+              | Schedule.Lost -> ()
+              | Schedule.Delayed_until until ->
+                  let k = Round.to_int until in
+                  let dstp = Pid.of_int dst in
+                  let per =
+                    Option.value
+                      (Int_map.find_opt k t.a_late)
+                      ~default:Pid.Map.empty
+                  in
+                  let q =
+                    Option.value (Pid.Map.find_opt dstp per) ~default:[]
+                  in
+                  t.a_late <-
+                    Int_map.add k (Pid.Map.add dstp (env :: q) per) t.a_late
+          done;
+          route t cplan ib rest
 
     (* A raising step leaves the arena mid-round (dirty); the DFS contract
        is that the caller rewinds to a snapshot before touching it again. *)
@@ -1132,15 +729,11 @@ module Make (A : Algorithm.S) = struct
             | Schedule.Single_lost { sl_src; _ } -> reduced_lost t sl_src
             | Schedule.Single_dst { sd_srcs; _ } -> reduced_dst t sd_srcs
           in
-          let quiet =
-            match fates with Schedule.Quiet -> true | _ -> false
-          in
           apply_crashes t round plan.Schedule.crashes;
           for i = 0 to n - 1 do
             if Bytes.get t.a_status i = st_running then begin
               let inbox =
-                if quiet then t.a_spine
-                else if m_dst > 0 then
+                if m_dst > 0 then
                   if i + 1 = m_dst then reduced else t.a_spine
                 else if Bitset.Big.mem (i + 1) m_dsts then reduced
                 else t.a_spine
@@ -1153,44 +746,21 @@ module Make (A : Algorithm.S) = struct
           (* General path (fate tables, delayed messages, late deliveries
              due this round): fresh envelopes per sender — late envelopes
              outlive the round and must never alias the mutable spine
-             cells. Mirrors [Incremental.step]'s general branch. *)
+             cells. *)
           if late_due <> None then
             t.a_late <- Int_map.remove t.a_next t.a_late;
-          let ib = Array.make n [] in
-          for src = n downto 1 do
+          let sent = ref [] in
+          for src = 1 to n do
             if Bytes.get t.a_status (src - 1) = st_running then begin
               let srcp = Pid.of_int src in
-              let env =
+              sent :=
                 Envelope.make ~src:srcp ~sent:round
                   (send_guarded t.a_states.(src - 1) ~pid:srcp round)
-              in
-              for dst = 1 to n do
-                if dst = src then ib.(dst - 1) <- env :: ib.(dst - 1)
-                else
-                  match
-                    Schedule.compiled_fate cplan ~src:srcp
-                      ~dst:(Pid.of_int dst)
-                  with
-                  | Schedule.Same_round ->
-                      ib.(dst - 1) <- env :: ib.(dst - 1)
-                  | Schedule.Lost -> ()
-                  | Schedule.Delayed_until until ->
-                      let k = Round.to_int until in
-                      let dstp = Pid.of_int dst in
-                      let per =
-                        Option.value
-                          (Int_map.find_opt k t.a_late)
-                          ~default:Pid.Map.empty
-                      in
-                      let q =
-                        Option.value (Pid.Map.find_opt dstp per) ~default:[]
-                      in
-                      t.a_late <-
-                        Int_map.add k (Pid.Map.add dstp (env :: q) per)
-                          t.a_late
-              done
+                :: !sent
             end
           done;
+          let ib = Array.make n [] in
+          route t cplan ib !sent;
           (match late_due with
           | None -> ()
           | Some per ->
@@ -1249,18 +819,32 @@ module Make (A : Algorithm.S) = struct
             Obs.Prof.measure a step_once
           done);
       trace ~schedule t
+
+    (* A one-shot arena dies with its run, but a minor collection during
+       the run may already have promoted it; every young state, cell,
+       decision or late message it still points to is then kept alive, and
+       promoted in turn, through the remembered set. Halting every slot and
+       dropping those references at the end of the run cuts them. *)
+    let one_shot config ~proposals f =
+      let t = create config ~proposals in
+      Fun.protect (fun () -> f t) ~finally:(fun () ->
+          Bytes.fill t.a_status 0 t.a_n st_done;
+          t.a_live <- 0;
+          Array.fill t.a_states 0 t.a_n t.a_filler;
+          Array.fill t.a_cells 0 t.a_n None;
+          t.a_spine <- [];
+          t.a_decisions <- [];
+          t.a_late <- Int_map.empty)
   end
 
   let run ?(record = false) ?(sink = Obs.Sink.noop) ?max_rounds ?prof config
       ~proposals schedule =
     if (not record) && not (Obs.Sink.enabled sink) then
-      (* Nobody is watching: take the incremental core end to end — flat
-         array state, shared inboxes, and the in-place zero-allocation
-         tail past the horizon — instead of the map-based recording
-         engine. Produces the same trace (same decisions, crashes, round
-         count and halt flag; both paths build [records = []]). *)
-      Incremental.finish ?max_rounds ?prof ~schedule
-        (Incremental.start config ~proposals)
+      (* Nobody is watching: run on the arena instead of the map-based
+         recording engine. Same trace (decisions, crashes, round count and
+         halt flag; both paths build [records = []]). *)
+      Arena.one_shot config ~proposals
+        (Arena.finish ?max_rounds ?prof ~schedule)
     else begin
     let max_rounds =
       Option.value max_rounds ~default:(default_max_rounds config schedule)

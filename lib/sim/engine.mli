@@ -8,9 +8,12 @@
     [k] and disappears afterwards); then surviving processes consume the
     envelopes arriving this round ({!S.on_receive}).
 
-    The engine is purely functional: {!Make.step} returns a new system state,
-    so the model checker can branch over adversary choices while sharing the
-    common prefix. *)
+    Two engines share these semantics. The recording engine ({!Make.start}
+    / {!Make.step}) is immutable and map-based: it fills round records and
+    emits events for diagrams, traces and sinks. {!Make.Arena} is the
+    record-free core behind {!Make.run} without [~record] or a sink, the
+    fuzz harness and every model-checker sweep: mutable, allocation-free on
+    steady rounds, and rewound by snapshots when a DFS backtracks. *)
 
 open Kernel
 
@@ -72,80 +75,18 @@ module Make (A : Algorithm.S) : sig
   val crashed : sys -> (Pid.t * Round.t) list
   val all_halted : sys -> bool
 
-  (** A resumable execution core for the model checker.
+  (** The mutable execution arena.
 
-      Semantically identical to stepping [sys] round by round, but on a
-      representation tuned for the checker's DFS over adversary choices:
-      flat process arrays, pre-sorted inboxes, a shared envelope list for
-      quiet rounds and precompiled plans ({!Schedule.compiled_plan}). Each
-      {!Incremental.step} returns a fresh immutable value, so the DFS forks
-      the state at every choice point and the shared prefix of two
-      schedules is executed exactly once.
-
-      Unlike {!run}, the incremental core records no round records and
-      emits no events — it exists to make exhaustive sweeps fast. *)
-  module Incremental : sig
-    type t
-    (** Immutable system state between rounds. *)
-
-    val start : Config.t -> proposals:Value.t Pid.Map.t -> t
-    (** Initial state; [proposals] must bind exactly [p1..pn]. *)
-
-    val step : t -> Schedule.compiled_plan -> t
-    (** Execute one full round. Raises {!Step_error} on a decision-stability
-        violation or a raising callback, with the same error as the batch
-        engine. *)
-
-    val next_round : t -> Round.t
-    val all_halted : t -> bool
-    val decisions : t -> Trace.decision list
-    val crashed : t -> (Pid.t * Round.t) list
-
-    type fingerprint
-    (** A canonical structural snapshot of the global state: per-process
-        algorithm states (halted and crashed processes collapse to bare
-        tags — their rounds are observable in no sweep verdict), the
-        in-flight delayed messages in canonical key order, and the
-        decisions recorded so far. Two states of the same sweep (same
-        config and proposals) with structurally equal fingerprints at the
-        same round are {e verdict-equivalent}: every suffix of adversary
-        choices leads to traces with identical [Props.check] outcomes and
-        identical global decision rounds. The payload is plain immutable
-        data (the {!Algorithm.S} purity contract), so polymorphic [(=)]
-        and [Hashtbl.hash] are the intended equality and hash — this is
-        what [Mc.Dedup] keys its transposition table on. *)
-
-    val fingerprint : t -> fingerprint
-    (** O(state) to build; allocates a small canonical copy, shares the
-        per-process states. *)
-
-    val finish :
-      ?max_rounds:int -> ?prof:Obs.Prof.acc -> schedule:Schedule.t -> t -> Trace.t
-    (** Step with [schedule]'s remaining plans (empty past the horizon)
-        until all processes halt or [max_rounds] rounds have executed
-        (default {!default_max_rounds}), then package the trace. The
-        resulting trace equals what {!run} produces for the same config,
-        proposals and schedule, except [records] is always empty.
-        [prof], when given, records one {!Obs.Prof} interval per executed
-        round (the DFS callers measure the rounds they step themselves).
-
-        When the state was advanced manually via {!step}, pass the
-        schedule those plans came from (or an explicit [max_rounds]
-        consistent with it) so the bound and [Trace.t.schedule] are
-        right. *)
-  end
-
-  (** The mutable checker arena.
-
-      The flat struct-of-arrays round representation (status slab, state
-      array, reusable envelope spine — the same machinery as the
-      record-free run path's post-horizon tail) promoted to a first-class
-      value with explicit branch-point snapshots, so a DFS over adversary
-      choices mutates {e one} arena in place and rewinds it on backtrack
-      instead of forking an immutable value per round. Round semantics are
-      bit-identical to {!Incremental.step}: same [on_send]/[on_receive]
-      call orders, same decision-stability errors, same decision-list and
-      crash-list shapes.
+      A flat struct-of-arrays round representation (status slab, state
+      array, one reusable envelope cell per sender) with explicit
+      branch-point snapshots, so a DFS over adversary choices mutates
+      {e one} arena in place and rewinds it on backtrack instead of forking
+      an immutable value per round. Round semantics are bit-identical to
+      the recording engine's {!step}: [on_send] and [on_receive] both called
+      in ascending pid order, the same decision-stability errors, and the
+      same decision-list and crash-list shapes. A trace it finishes equals
+      the one {!run} [~record:true] produces for the same config, proposals
+      and schedule, except that [records] is empty.
 
       Ownership: an arena (and everything loaned out of it — the probe
       fingerprint, inbox spines) belongs to one DFS on one domain. Sharded
@@ -160,7 +101,8 @@ module Make (A : Algorithm.S) : sig
 
     val step : t -> Schedule.compiled_plan -> unit
     (** Execute one full round in place. Raises {!Step_error} exactly like
-        {!Incremental.step}; a raising step leaves the arena mid-round, and
+        {!step}, naming the same process; a raising step leaves the arena
+        mid-round, and
         the caller must {!restore} a snapshot before using it again.
         Allocation-free on quiet rounds once the spine is built; ~n list
         cells on single-sender-loss / single-receiver-loss rounds (the
@@ -169,7 +111,9 @@ module Make (A : Algorithm.S) : sig
     val save : t -> unit
     (** Push a branch-point snapshot: two blits (status bytes, state
         words) plus four scalar stores into a preallocated, reused slot —
-        cost independent of the subtree explored below it. *)
+        cost independent of the subtree explored below it. From the first
+        save on, the arena also interns its inbox spines and reduced
+        inboxes by status, so revisited statuses rebuild nothing. *)
 
     val restore : t -> unit
     (** Rewind to the top snapshot, keeping it on the stack (one snapshot
@@ -193,14 +137,20 @@ module Make (A : Algorithm.S) : sig
     val crashed : t -> (Pid.t * Round.t) list
 
     type fingerprint
-    (** Same verdict-equivalence contract and the same equality classes as
-        {!Incremental.fingerprint} — a sweep keyed on arena fingerprints
-        reproduces the incremental engine's dedup hit/miss sequence
-        exactly — built directly from the flat arrays (status slab copy,
-        state array with halted/crashed slots pinned to one filler) with
-        no intermediate maps. Polymorphic [(=)] and [Hashtbl.hash] are the
-        intended equality and hash, and a {!probe_fingerprint} compares
-        equal to the {!fingerprint} copy of the same state. *)
+    (** A canonical structural snapshot of the global state: per-process
+        algorithm states (halted and crashed processes collapse to bare
+        tags — their rounds are observable in no sweep verdict), the
+        in-flight delayed messages in canonical key order, and the
+        decisions recorded so far, built directly from the flat arrays.
+        Two states of the same sweep (same config and proposals) with
+        structurally equal fingerprints at the same round are
+        {e verdict-equivalent}: every suffix of adversary choices leads to
+        traces with identical [Props.check] outcomes and identical global
+        decision rounds. The payload is plain immutable data (the
+        {!Algorithm.S} purity contract), so polymorphic [(=)] and
+        [Hashtbl.hash] are the intended equality and hash — this is what
+        [Mc.Dedup] keys its transposition table on. A {!probe_fingerprint}
+        compares equal to the {!fingerprint} copy of the same state. *)
 
     val probe_fingerprint : t -> fingerprint
     (** The arena's reusable probe fingerprint, refreshed in place —
@@ -220,11 +170,26 @@ module Make (A : Algorithm.S) : sig
       ?max_rounds:int -> ?prof:Obs.Prof.acc -> schedule:Schedule.t -> t -> Trace.t
     (** Step with [schedule]'s remaining plans (empty past the horizon)
         until all processes halt or [max_rounds] rounds have executed
-        (default {!default_max_rounds}), then package the trace — the same
-        trace {!Incremental.finish} produces from the same state. Leaves
+        (default {!default_max_rounds}), then package the trace. Leaves
         the arena at the end of the run; the caller rewinds via
         {!restore}. [prof], when given, records one {!Obs.Prof} interval
-        per executed round. *)
+        per executed round.
+
+        When the arena was advanced manually via {!step}, pass the
+        schedule those plans came from (or an explicit [max_rounds]
+        consistent with it) so the bound and [Trace.t.schedule] are
+        right. *)
+
+    val one_shot :
+      Config.t -> proposals:Value.t Pid.Map.t -> (t -> 'a) -> 'a
+    (** [one_shot config ~proposals f] applies [f] to a fresh arena, then
+        releases the arena — on return and on exception alike: every
+        process is marked halted and the arena drops its references to
+        algorithm states, envelope cells, decisions and delayed messages.
+        A short run whose arena a minor collection promoted then leaves
+        none of its young values alive through that arena. [f] must not
+        let the arena escape; traces and decision lists it returned stay
+        valid. *)
   end
 
   val run :
@@ -255,7 +220,7 @@ val default_max_rounds : Config.t -> Schedule.t -> int
 
 val round_bound : Config.t -> horizon:int -> gst:int -> int
 (** The same bound computed from a horizon and gst directly, for callers
-    (the incremental checker) that build plans round by round and have no
+    (the model checker) that build plans round by round and have no
     {!Schedule.t} in hand: [default_max_rounds config s] equals
     [round_bound config ~horizon:(Schedule.horizon s)
     ~gst:(Round.to_int (Schedule.gst s))]. *)

@@ -25,6 +25,54 @@ let test_engine_step_error () =
            (Format.asprintf "%a" Sim.Engine.pp_step_error e)
            "injected fault")
 
+(* Every process's [on_send] raises from round 2 on, so the first call
+   made decides which process the error names: every engine path must call
+   [on_send] in the same ascending pid order to report the same fault. *)
+module Send_raising = struct
+  type msg = Ping
+  type state = unit
+
+  let name = "SendRaising"
+  let model = Sim.Model.Scs
+  let symmetric = true
+  let init _config _pid _v = ()
+
+  let on_send () round =
+    if Round.to_int round >= 2 then failwith "injected send fault" else Ping
+
+  let on_receive () _round _inbox = ()
+  let decision () = None
+  let halted () = false
+  let wire_size Ping = 1
+  let pp_msg ppf Ping = Format.pp_print_string ppf "ping"
+  let pp_state ppf () = Format.pp_print_string ppf "-"
+end
+
+let test_send_error_attribution () =
+  let module E = Sim.Engine.Make (Send_raising) in
+  let scs = Sim.Schedule.make ~model:Sim.Model.Scs ~gst:Round.first [] in
+  let proposals = props c41 in
+  let key (e : Sim.Engine.step_error) =
+    (Pid.to_int e.pid, Round.to_int e.round, e.reason)
+  in
+  let raised run =
+    match run () with
+    | _ -> Alcotest.fail "expected Step_error"
+    | exception Sim.Engine.Step_error e -> key e
+  in
+  let expected = (1, 2, {|on_send raised Failure("injected send fault")|}) in
+  let same = Alcotest.(check (triple int int string)) in
+  same "recording engine" expected
+    (raised (fun () -> E.run ~record:true c41 ~proposals scs));
+  same "record-free run" expected (raised (fun () -> E.run c41 ~proposals scs));
+  match
+    Fuzz.Harness.run
+      ~algo:(Sim.Algorithm.Packed (module Send_raising))
+      ~config:c41 ~proposals scs
+  with
+  | Fuzz.Outcome.Crashed e -> same "fuzz harness" expected (key e)
+  | o -> Alcotest.fail (Format.asprintf "expected Crashed: %a" Fuzz.Outcome.pp o)
+
 (* ------------------------------------------------------------------ *)
 (* Harness outcomes                                                    *)
 
@@ -451,6 +499,8 @@ let () =
         [
           Alcotest.test_case "engine wraps raising callbacks" `Quick
             test_engine_step_error;
+          Alcotest.test_case "on_send errors name the same process" `Quick
+            test_send_error_attribution;
           Alcotest.test_case "harness: crashed" `Quick test_harness_crashed;
           Alcotest.test_case "harness: raised (init)" `Quick
             test_harness_raised_contained;

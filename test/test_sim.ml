@@ -596,14 +596,14 @@ let prop_engine_deterministic =
       in
       run_once () = run_once ())
 
-(* The engine now has four execution paths: the recording batch engine
-   ([~record:true]), the allocation-free fast path (default [run], which
-   delegates to the incremental core and its flat tail), the explicit
-   resumable checker ([Incremental.start] / [finish]), and the mutable
-   snapshot/restore arena the model checker's DFS drives. All four must
-   replay the same run exactly — decisions, crash records, round count and
-   halting flag — on arbitrary ES schedules, which exercise crashes,
-   losses and delayed deliveries. *)
+(* Two engines implement the round: the recording batch engine
+   ([~record:true]) and the mutable arena that the default [run], the fuzz
+   harness and every sweep drive. The arena is pinned to the recording
+   engine on both of its inbox paths: one-shot through [run] (nothing is
+   interned), and after a [save] (spines and reduced inboxes interned by
+   status, as in a DFS). All must replay the same run exactly — decisions,
+   crash records, round count and halting flag — on arbitrary ES
+   schedules, which exercise crashes, losses and delayed deliveries. *)
 let engines_agree cfg s (Sim.Algorithm.Packed (module A)) =
   let proposals = Sim.Runner.distinct_proposals cfg in
   let module F = Sim.Engine.Make (A) in
@@ -615,21 +615,22 @@ let engines_agree cfg s (Sim.Algorithm.Packed (module A)) =
   in
   let t_rec = F.run ~record:true cfg ~proposals s in
   let t_fast = F.run cfg ~proposals s in
-  let t_inc =
-    F.Incremental.finish ~schedule:s (F.Incremental.start cfg ~proposals)
+  let t_saved =
+    let arena = F.Arena.create cfg ~proposals in
+    F.Arena.save arena;
+    F.Arena.finish ~schedule:s arena
   in
-  let t_arena = F.Arena.finish ~schedule:s (F.Arena.create cfg ~proposals) in
-  key t_rec = key t_fast && key t_fast = key t_inc && key t_inc = key t_arena
+  key t_rec = key t_fast && key t_fast = key t_saved
 
-let prop_incremental_matches_run =
-  qtest ~count:60 "incremental core equals run" QCheck.int (fun seed ->
+let prop_arena_matches_run =
+  qtest ~count:60 "arena paths equal recording run" QCheck.int (fun seed ->
       let rng = Rng.create ~seed in
       let cfg = config ~n:4 ~t:2 in
       let s = Workload.Random_runs.eventually_synchronous rng cfg ~gst:4 () in
       engines_agree cfg s floodset && engines_agree cfg s floodset_ws)
 
 let prop_cross_engine_equivalence =
-  qtest ~count:40 "recording, fast and incremental engines agree"
+  qtest ~count:40 "recording and arena paths agree"
     QCheck.(pair int (int_range 1 5))
     (fun (seed, gst) ->
       let rng = Rng.create ~seed in
@@ -643,7 +644,7 @@ let prop_cross_engine_equivalence =
 
 (* Every registered algorithm, every fault menu: random SCS schedules with
    declared crash/send-omission/receive-omission/mixed faults, plus random
-   ES schedules, must replay identically on all four engine paths. This is
+   ES schedules, must replay identically on every engine path. This is
    the contract the arena-backed sweeps lean on — the DFS re-executes
    exactly these schedule shapes branch by branch. *)
 let prop_all_algorithms_all_menus =
@@ -707,9 +708,9 @@ let prop_arena_snapshot_restore =
           fp_saved = fp_restored)
         [ floodset; floodmin; at2 ])
 
-(* Past the schedule horizon the fast path switches to the flat
-   struct-of-arrays tail; holding FloodMin in its steady state for many
-   rounds pins that tail against the recording engine. *)
+(* Past the schedule horizon every round is quiet and the arena only
+   refreshes its spine cells in place; holding FloodMin in its steady state
+   for many rounds pins that flat tail against the recording engine. *)
 module Floodmin_steady = Baselines.Floodmin.Make (struct
   let extra_rounds = 40
 end)
@@ -728,7 +729,7 @@ let test_flat_tail_equivalence () =
 (* Crash-round edge cases: a victim crashing in its own decision round
    records no decision (it does not complete the round), and a victim all
    of whose messages are lost crashed "before sending".  Both must replay
-   identically on all three engine paths and stay safety-clean. *)
+   identically on every engine path and stay safety-clean. *)
 let test_crash_round_edge_cases () =
   let cfg = config ~n:4 ~t:1 in
   let silent =
@@ -1064,7 +1065,7 @@ let () =
         [
           prop_engine_respects_model;
           prop_engine_deterministic;
-          prop_incremental_matches_run;
+          prop_arena_matches_run;
           prop_cross_engine_equivalence;
           prop_all_algorithms_all_menus;
           prop_arena_snapshot_restore;
