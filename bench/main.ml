@@ -137,13 +137,29 @@ let micro_tests workloads =
   List.map (fun w -> Test.make ~name:w.name (Staged.stage w.fn)) workloads
 
 (* ------------------------------------------------------------------ *)
-(* The mc suite: serial vs incremental vs parallel exhaustive sweeps    *)
+(* The mc suite: per-leaf vs arena DFS vs parallel exhaustive sweeps   *)
+
+(* [Mc.Sweep.run], the path `ipi sweep` takes, for the bench rows. *)
+let sweep ?checkpoint ?prof ?spans ?progress ?(exec = Mc.Sweep.Domains 1) spec
+    =
+  match Mc.Sweep.run ?checkpoint ?prof ?spans ?progress spec exec with
+  | Ok _ -> ()
+  | Error msg -> failwith msg
+
+let fixed ?faults ?reduce ~algo config =
+  Mc.Sweep.make ?faults ?reduce ~algo ~config
+    (Mc.Sweep.Fixed (Sim.Runner.distinct_proposals config))
+
+let binary ?reduce ~algo config =
+  Mc.Sweep.make ?reduce ~algo ~config Mc.Sweep.Binary
 
 (* Three drivers over identical state spaces (the results are
    bit-identical, which the determinism tests assert); what this suite
-   tracks is their relative wall-clock cost. The acceptance bar is the
-   incremental+parallel sweep at n=5, t=2, jobs=4 beating the serial
-   baseline by >= 3x. *)
+   tracks is their relative wall-clock cost: the per-leaf
+   [Exhaustive.sweep] ("/serial"), the driver on one domain
+   ("/incremental") and on [mc_jobs] domains. The acceptance bar is the
+   parallel sweep at n=5, t=2, jobs=4 beating the per-leaf baseline by
+   >= 3x. *)
 let mc_jobs = 4
 
 let mc_workloads () =
@@ -153,12 +169,10 @@ let mc_workloads () =
     [
       plain (prefix ^ "/serial") (fun () ->
           ignore (Mc.Exhaustive.sweep ~algo ~config ~proposals ()));
-      plain (prefix ^ "/incremental") (fun () ->
-          ignore (Mc.Exhaustive.sweep_incremental ~algo ~config ~proposals ()));
+      plain (prefix ^ "/incremental") (fun () -> sweep (fixed ~algo config));
       plain
         (Printf.sprintf "%s/parallel-j%d" prefix mc_jobs)
-        (fun () ->
-          ignore (Mc.Parallel.sweep ~jobs:mc_jobs ~algo ~config ~proposals ()));
+        (fun () -> sweep ~exec:(Mc.Sweep.Domains mc_jobs) (fixed ~algo config));
     ]
   in
   let at2 = Expt.Registry.at_plus_2.Expt.Registry.algo in
@@ -181,42 +195,33 @@ let mc_workloads () =
 let reduction_workloads () =
   let c52 = Config.make ~n:5 ~t:2 in
   let algo = Expt.Registry.floodset.Expt.Registry.algo in
-  let proposals = Sim.Runner.distinct_proposals c52 in
+  let jobs = Mc.Sweep.Domains mc_jobs in
+  let row name ?exec spec = plain name (fun () -> sweep ?exec spec) in
   let single =
     let prefix = "mc-reduction/floodset-n5t2" in
     [
-      plain (prefix ^ "/none") (fun () ->
-          ignore
-            (Mc.Exhaustive.sweep_incremental ~algo ~config:c52 ~proposals ()));
-      plain (prefix ^ "/dedup") (fun () ->
-          ignore (Mc.Dedup.sweep ~algo ~config:c52 ~proposals ()));
-      plain
+      row (prefix ^ "/none") (fixed ~algo c52);
+      row (prefix ^ "/dedup") (fixed ~reduce:Mc.Sweep.Dedup ~algo c52);
+      row
         (Printf.sprintf "%s/dedup-j%d" prefix mc_jobs)
-        (fun () ->
-          ignore
-            (Mc.Parallel.sweep_dedup ~jobs:mc_jobs ~algo ~config:c52
-               ~proposals ()));
+        ~exec:jobs
+        (fixed ~reduce:Mc.Sweep.Dedup ~algo c52);
     ]
   in
-  let binary =
+  let binary_rows =
     let prefix = "mc-reduction/floodset-n5t2-binary" in
     [
-      plain (prefix ^ "/none") (fun () ->
-          ignore (Mc.Exhaustive.sweep_binary_incremental ~algo ~config:c52 ()));
-      plain (prefix ^ "/dedup") (fun () ->
-          ignore (Mc.Dedup.sweep_binary ~algo ~config:c52 ()));
-      plain (prefix ^ "/dedup+sym") (fun () ->
-          ignore (Mc.Symmetry.sweep_binary ~algo ~config:c52 ()));
-      plain
+      row (prefix ^ "/none") (binary ~algo c52);
+      row (prefix ^ "/dedup") (binary ~reduce:Mc.Sweep.Dedup ~algo c52);
+      row (prefix ^ "/dedup+sym") (binary ~reduce:Mc.Sweep.Dedup_sym ~algo c52);
+      row
         (Printf.sprintf "%s/dedup-j%d" prefix mc_jobs)
-        (fun () ->
-          ignore
-            (Mc.Parallel.sweep_binary_dedup ~jobs:mc_jobs ~algo ~config:c52 ()));
-      plain
+        ~exec:jobs
+        (binary ~reduce:Mc.Sweep.Dedup ~algo c52);
+      row
         (Printf.sprintf "%s/dedup+sym-j%d" prefix mc_jobs)
-        (fun () ->
-          ignore
-            (Mc.Parallel.sweep_binary_sym ~jobs:mc_jobs ~algo ~config:c52 ()));
+        ~exec:jobs
+        (binary ~reduce:Mc.Sweep.Dedup_sym ~algo c52);
     ]
   in
   let omission =
@@ -228,15 +233,11 @@ let reduction_workloads () =
     let faults = Sim.Model.Mixed in
     let prefix = "mc-reduction/floodset-n5t2-mixed" in
     [
-      plain (prefix ^ "/none") (fun () ->
-          ignore
-            (Mc.Exhaustive.sweep_incremental ~faults ~algo ~config:c52
-               ~proposals ()));
-      plain (prefix ^ "/dedup") (fun () ->
-          ignore (Mc.Dedup.sweep ~faults ~algo ~config:c52 ~proposals ()));
+      row (prefix ^ "/none") (fixed ~faults ~algo c52);
+      row (prefix ^ "/dedup") (fixed ~faults ~reduce:Mc.Sweep.Dedup ~algo c52);
     ]
   in
-  single @ binary @ omission
+  single @ binary_rows @ omission
 
 (* ------------------------------------------------------------------ *)
 (* The fuzz suite: campaign throughput, online monitors on vs off       *)
@@ -278,13 +279,11 @@ let fuzz_workloads () =
    diff below holds to <= 3% against the pre-instrumentation code. *)
 let obs_workloads () =
   let sweep_rows =
-    let c42 = Config.make ~n:4 ~t:2 in
-    let algo = Expt.Registry.floodset.Expt.Registry.algo in
-    let proposals = Sim.Runner.distinct_proposals c42 in
-    let sweep ?prof ?spans ?progress () =
-      ignore
-        (Mc.Dedup.sweep ?prof ?spans ?progress ~algo ~config:c42 ~proposals ())
+    let spec =
+      fixed ~reduce:Mc.Sweep.Dedup
+        ~algo:Expt.Registry.floodset.Expt.Registry.algo (Config.make ~n:4 ~t:2)
     in
+    let sweep ?prof ?spans ?progress () = sweep ?prof ?spans ?progress spec in
     let prefix = "obs/dedup-sweep-n4t2" in
     [
       plain (prefix ^ "/none") (fun () -> sweep ());
@@ -815,8 +814,8 @@ let obs_rows () =
 (* ------------------------------------------------------------------ *)
 (* The crash-safety suite: checkpointing overhead on the sweep driver   *)
 
-(* Sibling rows run the same Distrib task loop with checkpointing off
-   ("/none") and on ("/checkpoint", snapshotting every 8 shards — the
+(* Sibling rows run the same [Mc.Sweep.run] task loop with checkpointing
+   off ("/none") and on ("/checkpoint", snapshotting every 8 shards — the
    CLI's default cadence — to a temp file through the same atomic
    tmp+rename path `ipi sweep --checkpoint` uses). The binary scope is
    the representative checkpoint-worthy workload: its 2^n shards are
@@ -825,34 +824,16 @@ let obs_rows () =
    gate below holds the ratio to <= 1.10: serializing completed shards
    must stay in the noise of sweeping them. *)
 let crash_safety_workloads () =
-  let c52 = Config.make ~n:5 ~t:2 in
-  let algo = Expt.Registry.floodset.Expt.Registry.algo in
   let spec =
-    {
-      Mc.Distrib.faults = Sim.Model.Crash_only;
-      omit_budget = None;
-      policy = Mc.Serial.Prefixes;
-      horizon = None;
-      algo;
-      config = c52;
-      reduce = Mc.Distrib.Rdedup;
-      scope = Mc.Distrib.Binary;
-      table_cap = None;
-      spill_dir = None;
-    }
+    binary ~reduce:Mc.Sweep.Dedup
+      ~algo:Expt.Registry.floodset.Expt.Registry.algo (Config.make ~n:5 ~t:2)
   in
-  let params = Obs.Json.Obj [ ("bench", Obs.Json.String "crash-safety") ] in
   let ckpt = Filename.temp_file "ipi-bench-checkpoint" ".json" in
   at_exit (fun () -> try Sys.remove ckpt with Sys_error _ -> ());
-  let sweep ?checkpoint () =
-    match Mc.Distrib.run_serial ?checkpoint ~params spec with
-    | Ok _ -> ()
-    | Error msg -> failwith msg
-  in
   let prefix = "crash-safety/floodset-n5t2-binary-dedup" in
   [
-    plain (prefix ^ "/none") (fun () -> sweep ());
-    plain (prefix ^ "/checkpoint") (fun () -> sweep ~checkpoint:(ckpt, 8) ());
+    plain (prefix ^ "/none") (fun () -> sweep spec);
+    plain (prefix ^ "/checkpoint") (fun () -> sweep ~checkpoint:(ckpt, 8) spec);
   ]
 
 let crash_safety_budget = 1.10
@@ -1131,11 +1112,13 @@ let scaling_smoke_rows () =
    deterministic (allocation does not depend on the machine), so the gate
    below is unconditional. Before the arena port this row read ≈140
    words/round; the budget holds it at the arena's level. *)
+let mc_alloc_spec () =
+  binary ~reduce:Mc.Sweep.Dedup ~algo:Expt.Registry.floodset.Expt.Registry.algo
+    (Config.make ~n:5 ~t:2)
+
 let mc_alloc_words_per_round () =
-  let config = Config.make ~n:5 ~t:2 in
-  let algo = Expt.Registry.floodset.Expt.Registry.algo in
   let a = Obs.Prof.acc () in
-  ignore (Mc.Dedup.sweep_binary ~prof:a ~algo ~config ());
+  sweep ~prof:a (mc_alloc_spec ());
   let m = Obs.Metrics.create () in
   Obs.Prof.flush a ~metrics:m ~prefix:"mc" ~per:"round";
   Option.map
@@ -1143,10 +1126,8 @@ let mc_alloc_words_per_round () =
     (Obs.Metrics.find_histogram m "mc.minor_words_per_round")
 
 let mc_alloc_workload () =
-  let config = Config.make ~n:5 ~t:2 in
-  let algo = Expt.Registry.floodset.Expt.Registry.algo in
-  plain "mc-alloc/floodset-n5t2-binary/dedup" (fun () ->
-      ignore (Mc.Dedup.sweep_binary ~algo ~config ()))
+  let spec = mc_alloc_spec () in
+  plain "mc-alloc/floodset-n5t2-binary/dedup" (fun () -> sweep spec)
 
 let mc_alloc_words_budget = 16.0
 

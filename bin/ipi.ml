@@ -468,56 +468,36 @@ let spill_dir_arg =
            file in $(docv), keeping memoization exact under a bounded \
            heap.")
 
-let faults_flag = function
-  | Sim.Model.Crash_only -> "crash"
-  | Sim.Model.Send_omit_only -> "send-omit"
-  | Sim.Model.Recv_omit_only -> "recv-omit"
-  | Sim.Model.Mixed -> "mixed"
-
 let policy_flag = function
   | Mc.Serial.Prefixes -> "prefixes"
   | Mc.Serial.All_subsets -> "all-subsets"
 
-let dreduce_flag = function
-  | Mc.Distrib.Rnone -> "none"
-  | Mc.Distrib.Rdedup -> "dedup"
+let reduces =
+  [
+    ("none", Mc.Sweep.None);
+    ("dedup", Mc.Sweep.Dedup);
+    ("dedup+sym", Mc.Sweep.Dedup_sym);
+  ]
 
-let distrib_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon ~binary
+let reduce_arg =
+  Cmdliner.Arg.(
+    value
+    & opt (enum reduces) Mc.Sweep.None
+    & info [ "reduce" ] ~docv:"RED"
+        ~doc:
+          "State-space reduction: none (default), dedup (transposition \
+           table over canonical state fingerprints; bit-identical \
+           verdicts), or dedup+sym (additionally collapse --binary \
+           assignments to the n+1 proposal-count orbits when the \
+           algorithm is symmetric; exact aggregates, one witness per \
+           orbit).")
+
+let sweep_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon ~binary
     ~reduce ~table_cap ~spill_dir =
-  {
-    Mc.Distrib.faults;
-    omit_budget = Some omit_budget;
-    policy;
-    horizon;
-    algo;
-    config;
-    reduce;
-    scope =
-      (if binary then Mc.Distrib.Binary
-       else Mc.Distrib.Fixed (Sim.Runner.distinct_proposals config));
-    table_cap;
-    spill_dir;
-  }
-
-(* The checkpoint's identity block: everything that shapes the task list
-   or the per-task results. A snapshot resumes only a sweep with the same
-   parameters (canonical JSON equality in Checkpoint.compatible). *)
-let sweep_params ~label ~n ~t ~faults ~omit_budget ~horizon ~binary ~policy
-    ~reduce =
-  Obs.Json.Obj
-    [
-      ("kind", Obs.Json.String "sweep");
-      ("algo", Obs.Json.String label);
-      ("n", Obs.Json.Int n);
-      ("t", Obs.Json.Int t);
-      ("faults", Obs.Json.String (faults_flag faults));
-      ("omit_budget", Obs.Json.Int omit_budget);
-      ("policy", Obs.Json.String (policy_flag policy));
-      ( "horizon",
-        match horizon with Some h -> Obs.Json.Int h | None -> Obs.Json.Null );
-      ("scope", Obs.Json.String (if binary then "binary" else "fixed"));
-      ("reduce", Obs.Json.String (dreduce_flag reduce));
-    ]
+  Mc.Sweep.make ~faults ~omit_budget ~policy ?horizon ~reduce ?table_cap
+    ?spill_dir ~algo ~config
+    (if binary then Mc.Sweep.Binary
+     else Mc.Sweep.Fixed (Sim.Runner.distinct_proposals config))
 
 (* The supervised driver respawns workers as this exact invocation: the
    flags mirror the parent's sweep shape, so a worker computes the same
@@ -534,13 +514,13 @@ let sweep_worker_argv ~label ~n ~t ~faults ~omit_budget ~policy ~horizon
     "-t";
     string_of_int t;
     "--faults";
-    faults_flag faults;
+    Sim.Model.faults_to_string faults;
     "--omit-budget";
     string_of_int omit_budget;
     "--policy";
     policy_flag policy;
     "--reduce";
-    dreduce_flag reduce;
+    fst (List.find (fun (_, r) -> r = reduce) reduces);
   ]
   @ (match horizon with Some h -> [ "--horizon"; string_of_int h ] | None -> [])
   @ (if binary then [ "--binary" ] else [])
@@ -558,23 +538,10 @@ let sweep_cmd =
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains for the sweep; 0 means one per recommended \
-             core. The result is bit-identical to --jobs 1.")
-  in
-  let reduce_arg =
-    Cmdliner.Arg.(
-      value
-      & opt
-          (enum [ ("none", `None); ("dedup", `Dedup); ("dedup+sym", `Sym) ])
-          `None
-      & info [ "reduce" ] ~docv:"RED"
-          ~doc:
-            "State-space reduction: none (default), dedup (transposition \
-             table over canonical state fingerprints; bit-identical \
-             verdicts), or dedup+sym (additionally collapse --binary \
-             assignments to the n+1 proposal-count orbits when the \
-             algorithm is symmetric; exact aggregates, one witness per \
-             orbit).")
+            "Worker domains for an in-process sweep; 0 means one per \
+             recommended core. The result is bit-identical to --jobs 1. \
+             Refused with --workers 2 or more: each worker process runs \
+             its shards on one domain.")
   in
   let metrics_arg =
     Cmdliner.Arg.(
@@ -585,7 +552,9 @@ let sweep_cmd =
              allocation-probe histograms (mc.minor_words_per_round — the \
              checker-core rate, one interval per arena DFS round over the \
              distinct work — and mc.minor_words_per_sweep) and — with \
-             --jobs > 1 — the par.* worker-utilization gauges.")
+             --jobs > 1 — the par.* worker-utilization gauges. Under \
+             --workers the DFS runs in the worker processes, so the \
+             per-round histogram is not collected (the block says so).")
   in
   let trace_file_arg =
     Cmdliner.Arg.(
@@ -594,7 +563,9 @@ let sweep_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Write the sweep's profiling spans (sweep > shard > run \
-             nesting, with per-span GC deltas) to $(docv).")
+             nesting, with per-span GC deltas) to $(docv). Under --workers \
+             the shard spans are recorded by the supervisor, from a \
+             shard's first assignment to its result, with no run spans.")
   in
   let trace_format_arg =
     Cmdliner.Arg.(
@@ -626,7 +597,8 @@ let sweep_cmd =
             "Snapshot completed shards to $(docv) (atomic tmp+rename) \
              every --checkpoint-every shards and once more on exit — \
              normal, SIGINT/SIGTERM, or --budget expiry — so an \
-             interrupted sweep resumes with --resume $(docv).")
+             interrupted sweep resumes with --resume $(docv). Works with \
+             --jobs and --workers alike.")
   in
   let checkpoint_every_arg =
     Cmdliner.Arg.(
@@ -695,247 +667,157 @@ let sweep_cmd =
       chaos_seed chunk_timeout table_cap spill_dir print_metrics show_progress
       heartbeat trace_file trace_format =
     let config = Config.make ~n ~t in
-    let entry = lookup_algo label in
-    let algo = entry.Expt.Registry.algo in
-    let jobs = if jobs = 0 then Par.default_jobs () else jobs in
-    let deadline = Option.map (fun b -> Unix.gettimeofday () +. b) budget_s in
-    let registry = Obs.Metrics.create () in
-    let metrics = registry in
-    let progress, finish_progress =
-      make_progress ~label:"sweep" ~show:show_progress ~heartbeat
+    let algo = (lookup_algo label).Expt.Registry.algo in
+    let spec =
+      sweep_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon ~binary
+        ~reduce ~table_cap ~spill_dir
     in
-    let distributed =
-      workers > 1 || checkpoint <> None || resume_path <> None
-      || chaos_mode <> None || table_cap <> None || spill_dir <> None
+    let in_process = workers <= 1 in
+    if chaos_mode <> None && in_process then begin
+      Format.eprintf "--chaos needs --workers 2 or more@.";
+      exit 2
+    end;
+    if jobs <> 1 && not in_process then begin
+      Format.eprintf
+        "--jobs applies to in-process sweeps only: each --workers process \
+         runs its shards on one domain@.";
+      exit 2
+    end;
+    let exec =
+      if in_process then
+        Mc.Sweep.Domains (if jobs = 0 then Par.default_jobs () else jobs)
+      else
+        Mc.Sweep.Workers
+          {
+            workers;
+            argv =
+              sweep_worker_argv ~label ~n ~t ~faults ~omit_budget ~policy
+                ~horizon ~binary ~reduce ~table_cap ~spill_dir;
+            chaos =
+              Option.map
+                (fun mode -> Mc.Supervise.default_chaos mode ~seed:chaos_seed)
+                chaos_mode;
+            chunk_timeout = Some chunk_timeout;
+          }
     in
-    if distributed then begin
-      (* The crash-safe drivers: checkpointed in-process execution, or a
-         supervised multi-process pool. Both shard at the same granularity
-         as the domain-parallel driver and merge in task order, so the
-         aggregates are bit-identical to the plain serial sweep. *)
-      let reduce =
-        match reduce with
-        | `None -> Mc.Distrib.Rnone
-        | `Dedup -> Mc.Distrib.Rdedup
-        | `Sym ->
-            Format.eprintf
-              "dedup+sym sweeps are not distributed: drop --reduce \
-               dedup+sym or the \
-               --workers/--checkpoint/--resume/--chaos/--table-cap flags@.";
-            exit 2
-      in
-      let spec =
-        distrib_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon
-          ~binary ~reduce ~table_cap ~spill_dir
-      in
-      let params =
-        sweep_params ~label ~n ~t ~faults ~omit_budget ~horizon ~binary
-          ~policy ~reduce
-      in
-      let resume =
-        Option.map
-          (fun path ->
-            match Mc.Checkpoint.load ~path with
-            | Ok ck -> ck
-            | Error e ->
-                Format.eprintf "%a@." Mc.Checkpoint.pp_load_error e;
-                exit 2)
-          resume_path
-      in
-      let ckpt = Option.map (fun p -> (p, checkpoint_every)) checkpoint in
-      (* SIGINT/SIGTERM request a stop; the driver finishes the shard
-         boundary, flushes a final checkpoint, and we exit 3 (PARTIAL)
-         below — the same path --budget expiry takes. *)
-      let stop = ref false in
+    let resume =
+      Option.map
+        (fun path ->
+          match Mc.Checkpoint.load ~path with
+          | Ok ck -> ck
+          | Error e ->
+              Format.eprintf "%a@." Mc.Checkpoint.pp_load_error e;
+              exit 2)
+        resume_path
+    in
+    (* With a checkpoint to flush or worker processes to reap, SIGINT and
+       SIGTERM request a stop: no further shard starts, the shards in
+       flight finish, a final checkpoint is flushed, and we exit 3
+       (PARTIAL) below — the same path --budget expiry takes. The first
+       signal restores the default action, so a second one ends the
+       process at once. Any other sweep keeps the default: ^C ends it. *)
+    let stop = Atomic.make false in
+    let set_signals behavior =
       List.iter
         (fun s ->
-          try Sys.set_signal s (Sys.Signal_handle (fun _ -> stop := true))
+          try Sys.set_signal s behavior
           with Invalid_argument _ | Sys_error _ -> ())
-        [ Sys.sigint; Sys.sigterm ];
-      let should_stop () =
-        !stop
-        ||
-        match deadline with
-        | Some d -> Unix.gettimeofday () > d
-        | None -> false
-      in
-      let chaos =
-        Option.map
-          (fun mode -> Mc.Supervise.default_chaos mode ~seed:chaos_seed)
-          chaos_mode
-      in
-      let outcome =
-        if workers > 1 then
-          Mc.Distrib.run_supervised ?resume ?checkpoint:ckpt ~should_stop
-            ?chaos ~chunk_timeout ~progress ~workers
-            ~worker_argv:
-              (sweep_worker_argv ~label ~n ~t ~faults ~omit_budget ~policy
-                 ~horizon ~binary ~reduce ~table_cap ~spill_dir)
-            ~params spec
-        else
-          Mc.Distrib.run_serial ?resume ?checkpoint:ckpt ~should_stop
-            ?deadline ~progress ~params spec
-      in
-      finish_progress ();
-      match outcome with
-      | Error msg ->
-          Format.eprintf "%s@." msg;
-          exit 2
-      | Ok r ->
-          let result = r.Mc.Distrib.result in
-          Format.fprintf std "%a@." Mc.Exhaustive.pp_result result;
-          (match r.Mc.Distrib.stats with
-          | Some s -> Format.fprintf std "reduction: %a@." Mc.Dedup.pp_stats s
-          | None -> ());
-          (match result.Mc.Exhaustive.max_witness with
-          | Some choices ->
-              Format.fprintf std "worst run: %a@."
-                (Format.pp_print_list
-                   ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-                   Mc.Serial.pp_choice)
-                choices
-          | None -> ());
-          (match r.Mc.Distrib.sup_metrics with
-          | Some m ->
-              Format.fprintf std "supervisor: %a@." Mc.Supervise.pp_metrics m
-          | None -> ());
-          (match checkpoint with
-          | Some path ->
-              Format.fprintf std "checkpoint (%d/%d shards) written to %s@."
-                (List.length r.Mc.Distrib.completed)
-                r.Mc.Distrib.total_tasks path
-          | None -> ());
-          if result.Mc.Exhaustive.violations <> [] then exit 1;
-          if r.Mc.Distrib.partial || result.Mc.Exhaustive.expired then exit 3
-    end
-    else begin
+        [ Sys.sigint; Sys.sigterm ]
+    in
+    if Option.is_some checkpoint || not in_process then
+      set_signals
+        (Sys.Signal_handle
+           (fun _ ->
+             Atomic.set stop true;
+             set_signals Sys.Signal_default));
+    let registry = Obs.Metrics.create () in
     let spans =
       match trace_file with
       | Some _ -> Obs.Span.recorder ()
       | None -> Obs.Span.disabled
     in
-    (* Two probe granularities: [round_acc] rides inside the sweeps (one
+    (* Two probe granularities: [round_acc] rides inside the DFS (one
        interval per engine round over the distinct work), [sweep_acc]
-       brackets the whole dispatch. *)
-    let round_acc = if print_metrics then Some (Obs.Prof.acc ()) else None in
+       brackets the whole sweep. *)
+    let round_acc =
+      if print_metrics && in_process then Some (Obs.Prof.acc ()) else None
+    in
     let sweep_acc = if print_metrics then Some (Obs.Prof.acc ()) else None in
-    let dedup_stats = ref None in
-    let reduced r (s : Mc.Dedup.stats) =
-      dedup_stats := Some s;
-      r
+    let progress, finish_progress =
+      make_progress ~label:"sweep" ~show:show_progress ~heartbeat
     in
-    let prof = round_acc in
-    let dispatch () =
-      if binary then
-        match reduce with
-        | `Sym ->
-            let r, s =
-              if jobs > 1 then
-                Mc.Parallel.sweep_binary_sym ~faults ~omit_budget ?deadline
-                  ~policy ~metrics ?prof ~spans ~progress ~jobs ?horizon
-                  ~algo ~config ()
-              else
-                Mc.Symmetry.sweep_binary ~faults ~omit_budget ?deadline
-                  ~policy ~metrics ?horizon ?prof ~spans ~progress ~algo
-                  ~config ()
-            in
-            reduced r s
-        | `Dedup ->
-            let r, s =
-              if jobs > 1 then
-                Mc.Parallel.sweep_binary_dedup ~faults ~omit_budget ?deadline
-                  ~policy ~metrics ?prof ~spans ~progress ~jobs ?horizon
-                  ~algo ~config ()
-              else
-                Mc.Dedup.sweep_binary ~faults ~omit_budget ?deadline ~policy
-                  ~metrics ?horizon ?prof ~spans ~progress ~algo ~config ()
-            in
-            reduced r s
-        | `None ->
-            if jobs > 1 then
-              Mc.Parallel.sweep_binary ~faults ~omit_budget ?deadline ~policy
-                ~metrics ?prof ~spans ~progress ~jobs ?horizon ~algo ~config
-                ()
-            else
-              Mc.Exhaustive.sweep_binary_incremental ~faults ~omit_budget
-                ?deadline ~policy ~metrics ?horizon ?prof ~spans ~progress
-                ~algo ~config ()
-      else begin
-        let proposals = Sim.Runner.distinct_proposals config in
-        match reduce with
-        | `Dedup | `Sym ->
-            (* Symmetry reduces proposal assignments, so on a single fixed
-               assignment dedup+sym degrades to dedup. *)
-            let r, s =
-              if jobs > 1 then
-                Mc.Parallel.sweep_dedup ~faults ~omit_budget ?deadline
-                  ~policy ~metrics ?prof ~spans ~progress ~jobs ?horizon
-                  ~algo ~config ~proposals ()
-              else
-                Mc.Dedup.sweep ~faults ~omit_budget ?deadline ~policy
-                  ~metrics ?horizon ?prof ~spans ~progress ~algo ~config
-                  ~proposals ()
-            in
-            reduced r s
-        | `None ->
-            if jobs > 1 then
-              Mc.Parallel.sweep ~faults ~omit_budget ?deadline ~policy
-                ~metrics ?prof ~spans ~progress ~jobs ?horizon ~algo ~config
-                ~proposals ()
-            else
-              Mc.Exhaustive.sweep_incremental ~faults ~omit_budget ?deadline
-                ~policy ~metrics ?horizon ?prof ~spans ~progress ~algo
-                ~config ~proposals ()
-      end
+    let sweep () =
+      Mc.Sweep.run
+        ?checkpoint:(Option.map (fun p -> (p, checkpoint_every)) checkpoint)
+        ?resume
+        ?deadline:(Option.map (fun b -> Unix.gettimeofday () +. b) budget_s)
+        ~should_stop:(fun () -> Atomic.get stop)
+        ~metrics:registry ?prof:round_acc ~spans ~progress spec exec
     in
-    let result =
-      match sweep_acc with
-      | None -> dispatch ()
-      | Some a -> Obs.Prof.measure a dispatch
+    let outcome =
+      match sweep_acc with None -> sweep () | Some a -> Obs.Prof.measure a sweep
     in
     finish_progress ();
-    (match trace_file with
-    | Some path ->
-        let records = Obs.Span.records spans in
-        write_file path (fun oc ->
-            match trace_format with
-            | `Chrome -> output_string oc (Obs.Chrome.spans_to_string records)
-            | `Jsonl ->
-                List.iter
-                  (fun r ->
-                    output_string oc
-                      (Obs.Json.to_string (Obs.Span.record_to_json r));
-                    output_char oc '\n')
-                  records);
-        Format.fprintf std "trace (%d spans) written to %s@."
-          (List.length records) path
-    | None -> ());
-    (* The per-round histogram lands under [mc]: these are checker-core
-       branch rounds (arena DFS steps over the distinct work), not plain
-       simulator runs — [ipi run --metrics] keeps [sim] for those. *)
-    (match round_acc with
-    | Some a -> Obs.Prof.flush a ~metrics:registry ~prefix:"mc" ~per:"round"
-    | None -> ());
-    (match sweep_acc with
-    | Some a -> Obs.Prof.flush a ~metrics:registry ~prefix:"mc" ~per:"sweep"
-    | None -> ());
-    Format.fprintf std "%a@." Mc.Exhaustive.pp_result result;
-    (match !dedup_stats with
-    | Some s -> Format.fprintf std "reduction: %a@." Mc.Dedup.pp_stats s
-    | None -> ());
-    (match result.Mc.Exhaustive.max_witness with
-    | Some choices ->
-        Format.fprintf std "worst run: %a@."
-          (Format.pp_print_list
-             ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-             Mc.Serial.pp_choice)
-          choices
-    | None -> ());
-    if print_metrics then
-      Format.fprintf std "@.metrics:@.%a@." Obs.Metrics.pp registry;
-    if result.Mc.Exhaustive.violations <> [] then exit 1;
-    if result.Mc.Exhaustive.expired then exit 3
-    end
+    match outcome with
+    | Error msg ->
+        Format.eprintf "%s@." msg;
+        exit 2
+    | Ok o ->
+        let result = o.Mc.Sweep.result in
+        (match trace_file with
+        | Some path ->
+            let records = Obs.Span.records spans in
+            write_file path (fun oc ->
+                match trace_format with
+                | `Chrome ->
+                    output_string oc (Obs.Chrome.spans_to_string records)
+                | `Jsonl ->
+                    List.iter
+                      (fun r ->
+                        output_string oc
+                          (Obs.Json.to_string (Obs.Span.record_to_json r));
+                        output_char oc '\n')
+                      records);
+            Format.fprintf std "trace (%d spans) written to %s@."
+              (List.length records) path
+        | None -> ());
+        (* The per-round histogram lands under [mc]: these are
+           checker-core branch rounds (arena DFS steps over the distinct
+           work), not plain simulator runs — [ipi run --metrics] keeps
+           [sim] for those. *)
+        Option.iter
+          (fun a -> Obs.Prof.flush a ~metrics:registry ~prefix:"mc" ~per:"round")
+          round_acc;
+        Option.iter
+          (fun a -> Obs.Prof.flush a ~metrics:registry ~prefix:"mc" ~per:"sweep")
+          sweep_acc;
+        Format.fprintf std "%a@." Mc.Exhaustive.pp_result result;
+        Option.iter
+          (Format.fprintf std "reduction: %a@." Mc.Dedup.pp_stats)
+          o.Mc.Sweep.stats;
+        Option.iter
+          (Format.fprintf std "worst run: %a@."
+             (Format.pp_print_list
+                ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
+                Mc.Serial.pp_choice))
+          result.Mc.Exhaustive.max_witness;
+        Option.iter
+          (Format.fprintf std "supervisor: %a@." Mc.Supervise.pp_metrics)
+          o.Mc.Sweep.supervisor;
+        Option.iter
+          (Format.fprintf std "checkpoint (%d/%d shards) written to %s@."
+             (List.length o.Mc.Sweep.completed)
+             o.Mc.Sweep.total_tasks)
+          checkpoint;
+        if print_metrics then begin
+          Format.fprintf std "@.metrics:@.%a@." Obs.Metrics.pp registry;
+          if not in_process then
+            Format.fprintf std
+              "(no mc.minor_words_per_round: under --workers the DFS runs \
+               in the worker processes)@."
+        end;
+        if result.Mc.Exhaustive.violations <> [] then exit 1;
+        if o.Mc.Sweep.partial || result.Mc.Exhaustive.expired then exit 3
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "sweep"
@@ -956,24 +838,15 @@ let sweep_cmd =
 (* ipi sweep-worker                                                     *)
 
 let sweep_worker_cmd =
-  let reduce_arg =
-    Cmdliner.Arg.(
-      value
-      & opt
-          (enum [ ("none", Mc.Distrib.Rnone); ("dedup", Mc.Distrib.Rdedup) ])
-          Mc.Distrib.Rnone
-      & info [ "reduce" ] ~docv:"RED"
-          ~doc:"State-space reduction, as for `ipi sweep` (none or dedup).")
-  in
   let run label n t faults omit_budget binary policy horizon reduce table_cap
       spill_dir =
     let config = Config.make ~n ~t in
     let algo = (lookup_algo label).Expt.Registry.algo in
     let spec =
-      distrib_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon ~binary
+      sweep_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon ~binary
         ~reduce ~table_cap ~spill_dir
     in
-    try Mc.Distrib.worker_loop spec stdin stdout
+    try Mc.Sweep.worker_loop spec stdin stdout
     with Failure msg ->
       Format.eprintf "%s@." msg;
       exit 2

@@ -17,9 +17,14 @@ type row = {
 
 let sweep_row entry config ~faults ~expected_safe =
   let r =
-    Mc.Exhaustive.sweep_incremental ~faults ~algo:entry.Registry.algo ~config
-      ~proposals:(Sim.Runner.distinct_proposals config)
-      ()
+    match
+      Mc.Sweep.run
+        (Mc.Sweep.make ~faults ~algo:entry.Registry.algo ~config
+           (Mc.Sweep.Fixed (Sim.Runner.distinct_proposals config)))
+        (Mc.Sweep.Domains 1)
+    with
+    | Ok o -> o.Mc.Sweep.result
+    | Error msg -> failwith msg
   in
   {
     algorithm = entry.Registry.label;

@@ -92,7 +92,7 @@ let raising ~at =
 
 (* An algorithm that raises in [init] — outside every round, so the
    engine's containment cannot wrap it. Exercises the outer backstops:
-   [Mc.Parallel] shard failures and the campaign's [Raised] outcome. *)
+   [Mc.Sweep] shard failures and the campaign's [Raised] outcome. *)
 module Raising_init = struct
   type msg = Ping
   type state = unit

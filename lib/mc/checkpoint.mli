@@ -1,14 +1,14 @@
 (** Versioned, atomically-written sweep snapshots.
 
     A checkpoint is the crash-safe image of a sweep in flight, at the
-    sharding granularity every driver here already agrees on ({!Dedup}'s
-    fresh-table-per-first-round-subtree, {!Parallel}'s shard, {!Distrib}'s
-    task): the results of the {e completed} tasks, in task order, plus
-    enough metadata to rebuild the pending ones deterministically. Nothing
-    sub-task is persisted — a task interrupted mid-subtree is simply rerun
-    on resume, which is what keeps a resumed sweep's aggregates
-    bit-identical to an undisturbed one (the merge is a fold over tasks in
-    enumeration order either way).
+    granularity of a {!Sweep} task (a first-round subtree, a proposal
+    assignment or an orbit, each with fresh {!Dedup} tables): the results
+    of the {e completed} tasks, in task order, plus enough metadata to
+    rebuild the pending ones deterministically. Nothing sub-task is
+    persisted — a task interrupted mid-subtree is simply rerun on resume,
+    which is what keeps a resumed sweep's aggregates bit-identical to an
+    undisturbed one (the merge is a fold over tasks in enumeration order
+    either way).
 
     Files are written through {!Obs.Artifact} (tmp+rename), so a snapshot
     on disk is always complete: a crash mid-write leaves the previous
@@ -41,7 +41,7 @@ val version : int
 
 val entry_to_json : entry -> Obs.Json.t
 val entry_of_json : Obs.Json.t -> (entry, string) result
-(** One completed task, as stored in snapshots — {!Distrib} reuses the
+(** One completed task, as stored in snapshots — {!Sweep} reuses the
     same object as its worker protocol's result frame, so the snapshot
     format and the wire format cannot drift apart. *)
 

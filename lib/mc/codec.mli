@@ -1,7 +1,7 @@
 (** JSON codecs for sweep results — the vocabulary of the crash-safety
     layer.
 
-    Everything that crosses a process boundary ({!Distrib}'s worker
+    Everything that crosses a process boundary ({!Sweep}'s worker
     protocol) or a crash boundary ({!Checkpoint} snapshot files) is encoded
     here, so the wire format and the snapshot format cannot drift apart.
     Decoders are total: every shape mismatch is an [Error] with a message

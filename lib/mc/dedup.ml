@@ -32,13 +32,12 @@ let merge_stats a b =
     restores = a.restores + b.restores;
   }
 
-let hit_rate s =
-  let total = s.hits + s.misses in
-  if total = 0 then 0. else float_of_int s.hits /. float_of_int total
-
 let pp_stats ppf s =
+  let lookups = s.hits + s.misses in
   Format.fprintf ppf "%d/%d subtrees from table (%.0f%%), %d entries" s.hits
-    (s.hits + s.misses) (100. *. hit_rate s) s.entries;
+    lookups
+    (100. *. (float_of_int s.hits /. float_of_int (max 1 lookups)))
+    s.entries;
   if s.spilled > 0 then Format.fprintf ppf " (+%d spilled)" s.spilled;
   if s.snapshots > 0 then
     Format.fprintf ppf "; %d arena snapshots, %d restores" s.snapshots
@@ -76,8 +75,8 @@ let lift choice (frag : Exhaustive.result) =
 
 let sweep_prefix ?(faults = Sim.Model.Crash_only) ?omit_budget ?deadline
     ?(policy = Serial.Prefixes) ?horizon ?prof ?(spans = Obs.Span.disabled)
-    ?table_cap ?spill_dir ~algo:(Sim.Algorithm.Packed (module A)) ~config
-    ~proposals ~prefix () =
+    ?table_cap ?spill_dir ?menu ~algo:(Sim.Algorithm.Packed (module A))
+    ~config ~proposals ~prefix () =
   let module E = Sim.Engine.Make (A) in
   let horizon = Option.value horizon ~default:(Config.t config + 2) in
   let n = Config.n config in
@@ -85,7 +84,11 @@ let sweep_prefix ?(faults = Sim.Model.Crash_only) ?omit_budget ?deadline
   if depth0 < 0 then
     invalid_arg "Dedup.sweep_prefix: prefix longer than the horizon";
   let max_rounds = Sim.Engine.round_bound config ~horizon ~gst:1 in
-  let menu = Menu.create ~faults ?omit_budget ~policy config in
+  let menu =
+    match menu with
+    | Some m -> m
+    | None -> Menu.create ~faults ?omit_budget ~policy config
+  in
   let check = Exhaustive.deadline_check deadline in
   let hits = ref 0 and misses = ref 0 and edges = ref 0 in
   (* The memo key. [k_alive] and [k_left] are NOT derivable from the
@@ -364,29 +367,28 @@ let sweep_prefix ?(faults = Sim.Model.Crash_only) ?omit_budget ?deadline
       restores = E.Arena.restores arena;
     } )
 
-(* One fresh table per first-round subtree — deliberately the same
-   granularity {!Parallel} shards at, so serial and parallel reduced sweeps
-   are bit-identical on every field {e including} [distinct_runs] and the
-   stats, whatever [--jobs] is. Cross-subtree hits at the root are the
-   price; below round 1 is where the state space actually converges. *)
-let first_choices ?(faults = Sim.Model.Crash_only) ?omit_budget ?policy config =
-  Serial.adversary_choices
-    ~policy:(Option.value policy ~default:Serial.Prefixes)
-    ~faults
-    (Serial.initial ?omit_budget ~faults config)
+(* One fresh table per first-round subtree — the granularity of a fixed
+   scope's {!Sweep} task, so a reduced sweep is bit-identical on every
+   field {e including} [distinct_runs] and the stats, whatever the
+   executor. Cross-subtree hits at the root are the price; below round 1
+   is where the state space actually converges. *)
+let first_choices ?(faults = Sim.Model.Crash_only) ?omit_budget
+    ?(policy = Serial.Prefixes) config =
+  Serial.initial ?omit_budget ~faults config
+  |> Serial.adversary_choices ~policy ~faults
 
-let sweep_sharded ?faults ?omit_budget ?deadline ?policy ?horizon ?prof
-    ?(spans = Obs.Span.disabled) ?(progress = Obs.Progress.disabled)
-    ?table_cap ?spill_dir ~algo ~config ~proposals () =
+let sweep_sharded ?(faults = Sim.Model.Crash_only) ?omit_budget ?deadline
+    ?(policy = Serial.Prefixes) ?horizon ?prof ?(spans = Obs.Span.disabled)
+    ?table_cap ?spill_dir ~menu ~algo ~config ~proposals () =
   let horizon = Option.value horizon ~default:(Config.t config + 2) in
-  let firsts = first_choices ?faults ?omit_budget ?policy config in
+  let firsts = first_choices ~faults ?omit_budget ~policy config in
   List.fold_left
     (fun (acc, stats) first ->
       let subtree () =
         if acc.Exhaustive.expired then (Exhaustive.empty, zero_stats)
         else
-          sweep_prefix ?faults ?omit_budget ?deadline ?policy ~horizon ?prof
-            ~spans ?table_cap ?spill_dir ~algo ~config ~proposals
+          sweep_prefix ~faults ?omit_budget ?deadline ~policy ~horizon ?prof
+            ~spans ?table_cap ?spill_dir ~menu ~algo ~config ~proposals
             ~prefix:[ first ] ()
       in
       let r, s =
@@ -396,58 +398,22 @@ let sweep_sharded ?faults ?omit_budget ?deadline ?policy ?horizon ?prof
             subtree
         else subtree ()
       in
-      if Obs.Progress.enabled progress then
-        Obs.Progress.step progress ~distinct:r.Exhaustive.distinct_runs
-          ~items:1 ~runs:r.Exhaustive.runs ~hits:s.hits
-          ~lookups:(s.hits + s.misses);
       (combine acc r, merge_stats stats s))
     (Exhaustive.empty, zero_stats)
     firsts
 
-let sweep ?faults ?omit_budget ?deadline ?policy ?metrics ?horizon ?prof
-    ?(spans = Obs.Span.disabled) ?(progress = Obs.Progress.disabled)
-    ?table_cap ?spill_dir ~algo ~config ~proposals () =
-  let horizon = Option.value horizon ~default:(Config.t config + 2) in
-  let started = Exhaustive.stopwatch () in
-  Obs.Progress.set_total progress
-    (List.length (first_choices ?faults ?omit_budget ?policy config));
-  let result, stats =
-    Obs.Span.with_ spans "sweep" (fun () ->
-        sweep_sharded ?faults ?omit_budget ?deadline ?policy ~horizon ?prof
-          ~spans ~progress ?table_cap ?spill_dir ~algo ~config ~proposals ())
-  in
-  Exhaustive.report_sweep metrics ~started
-    ~prefix_hits:((result.Exhaustive.runs * horizon) - stats.edges)
-    ~dedup:(stats.hits, stats.entries)
-    ~arena:(stats.snapshots, stats.restores) result;
-  (result, stats)
-
-let sweep_binary ?faults ?omit_budget ?deadline ?policy ?metrics ?horizon
-    ?prof ?(spans = Obs.Span.disabled) ?(progress = Obs.Progress.disabled)
-    ?table_cap ?spill_dir ~algo ~config () =
-  let horizon = Option.value horizon ~default:(Config.t config + 2) in
-  let started = Exhaustive.stopwatch () in
-  let assignments = Exhaustive.binary_assignments config in
-  Obs.Progress.set_total progress
-    (List.length assignments
-    * List.length (first_choices ?faults ?omit_budget ?policy config));
-  let result, stats =
-    Obs.Span.with_ spans "sweep" (fun () ->
-        List.fold_left
-          (fun (acc, stats) proposals ->
-            if acc.Exhaustive.expired then (acc, stats)
-            else
-              let r, s =
-                sweep_sharded ?faults ?omit_budget ?deadline ?policy ~horizon
-                  ?prof ~spans ~progress ?table_cap ?spill_dir ~algo ~config
-                  ~proposals ()
-              in
-              (Exhaustive.merge acc r, merge_stats stats s))
-          (Exhaustive.empty, zero_stats)
-          assignments)
-  in
-  Exhaustive.report_sweep metrics ~started
-    ~prefix_hits:((result.Exhaustive.runs * horizon) - stats.edges)
-    ~dedup:(stats.hits, stats.entries)
-    ~arena:(stats.snapshots, stats.restores) result;
-  (result, stats)
+(* The per-assignment task of a binary dedup {!Sweep}, folded in
+   assignment order over one shared menu, as a single domain of {!Sweep}
+   runs it. *)
+let sweep_binary ?(faults = Sim.Model.Crash_only) ?omit_budget
+    ?(policy = Serial.Prefixes) ?horizon ~algo ~config () =
+  let menu = Menu.create ~faults ?omit_budget ~policy config in
+  List.fold_left
+    (fun (acc, stats) proposals ->
+      let r, s =
+        sweep_sharded ~faults ?omit_budget ~policy ?horizon ~menu ~algo
+          ~config ~proposals ()
+      in
+      (Exhaustive.merge acc r, merge_stats stats s))
+    (Exhaustive.empty, zero_stats)
+    (Exhaustive.binary_assignments config)

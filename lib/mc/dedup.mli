@@ -1,6 +1,6 @@
 (** Transposition-table (dedup) sweeps: exact state-space reduction.
 
-    The incremental DFS of {!Exhaustive.sweep_incremental} re-explores
+    The arena DFS of {!Exhaustive.sweep_prefix} re-explores
     subtrees that are reachable from {e identical global states} via
     different choice prefixes — e.g. crashing [p1] in round 1 versus
     round 2 after it has already halted, or any two prefixes whose victims'
@@ -26,9 +26,9 @@
     are part of the key because they are not derivable from the engine
     state — crashing an already-halted process spends budget invisibly.
 
-    Each first-round subtree gets a fresh table — the same granularity
-    {!Parallel} shards at — so serial and parallel reduced sweeps agree on
-    every field including [distinct_runs] and {!stats} for any [--jobs]. *)
+    Each first-round subtree gets a fresh table — the granularity of a
+    {!Sweep} task — so reduced sweeps agree on every field including
+    [distinct_runs] and {!stats} under every executor. *)
 
 open Kernel
 
@@ -57,9 +57,6 @@ val combine : Exhaustive.result -> Exhaustive.result -> Exhaustive.result
     Folding subtree fragments with [combine] in enumeration order is what
     keeps reduced sweeps bit-identical to unreduced ones. *)
 
-val hit_rate : stats -> float
-(** [hits / (hits + misses)], [0.] when nothing was explored. *)
-
 val first_choices :
   ?faults:Sim.Model.faults ->
   ?omit_budget:int ->
@@ -67,67 +64,26 @@ val first_choices :
   Config.t ->
   Serial.choice list
 (** The first-round choices a full sweep shards over (policy default
-    [Prefixes], fault menu default [Crash_only]) — what drivers use to
-    size progress totals and {!Parallel} uses as shard roots. *)
+    [Prefixes], fault menu default [Crash_only]) — the task roots of a
+    fixed-scope {!Sweep}. *)
 
 val pp_stats : Format.formatter -> stats -> unit
-
-val sweep :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?deadline:float ->
-  ?policy:Serial.policy ->
-  ?metrics:Obs.Metrics.t ->
-  ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
-  ?table_cap:int ->
-  ?spill_dir:string ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  proposals:Value.t Pid.Map.t ->
-  unit ->
-  Exhaustive.result * stats
-(** {!Exhaustive.sweep_incremental} with the transposition table:
-    bit-identical on every field except [distinct_runs]. Reports the same
-    metrics plus [mc.dedup_hits] / [mc.dedup_entries] /
-    [mc.distinct_runs].
-
-    Instrumentation (default-off, never affects the result): [prof]
-    accumulates per-round GC deltas over the distinct work only (table
-    hits cost nothing, so they record nothing); [spans] nests
-    ["sweep" > "shard <choice>" > "run"]; [progress] steps once per
-    first-round shard with the shard's run count and table hit/lookup
-    deltas, with the total set up front.
-
-    Memory bounding (default-off, never affects the result): [table_cap]
-    caps each per-shard table's in-memory entries; once reached, new
-    entries go to a {!Spill} store under [spill_dir] (per shard, deleted
-    when the shard finishes) — or, with no [spill_dir], are dropped, which
-    only costs future hits. Both lookups still count as table hits, so
-    [stats] stay comparable across caps. *)
 
 val sweep_binary :
   ?faults:Sim.Model.faults ->
   ?omit_budget:int ->
-  ?deadline:float ->
   ?policy:Serial.policy ->
-  ?metrics:Obs.Metrics.t ->
   ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
-  ?table_cap:int ->
-  ?spill_dir:string ->
   algo:Sim.Algorithm.packed ->
   config:Config.t ->
   unit ->
   Exhaustive.result * stats
-(** {!sweep} over all [2^n] binary assignments (fresh tables per
-    assignment and first-round choice); bit-identical to
-    {!Exhaustive.sweep_binary_incremental} except [distinct_runs].
-    [progress]'s total is [2^n * first-round choices]. *)
+(** The binary dedup sweep as {!Sweep} computes it on one domain: one
+    {!sweep_sharded} per assignment (fresh tables per assignment and
+    first-round choice, one shared {!Menu}),
+    folded with {!Exhaustive.merge} in assignment order. Bit-identical to
+    {!Exhaustive.sweep_binary} except [distinct_runs]. Reports nothing;
+    [ipi sweep] and the instrumented callers go through {!Sweep.run}. *)
 
 val sweep_prefix :
   ?faults:Sim.Model.faults ->
@@ -139,18 +95,20 @@ val sweep_prefix :
   ?spans:Obs.Span.t ->
   ?table_cap:int ->
   ?spill_dir:string ->
+  ?menu:Menu.t ->
   algo:Sim.Algorithm.packed ->
   config:Config.t ->
   proposals:Value.t Pid.Map.t ->
   prefix:Serial.choice list ->
   unit ->
   Exhaustive.result * stats
-(** The sharding unit (one table, one pinned subtree) — what {!Parallel}
-    distributes across domains; reports no metrics itself. Folding the
-    first-round shards in order with the serial list-order convention
-    yields exactly {!sweep}. [prof]/[spans] follow
-    {!Exhaustive.sweep_prefix}: per-round measures and per-distinct-leaf
-    ["run"] spans, single-domain. *)
+(** One table, one pinned subtree — a fixed-scope {!Sweep} task; reports
+    no metrics itself. Folding the first-round subtrees in order with
+    {!combine} yields the unreduced sweep bit-identically except
+    [distinct_runs]. [table_cap]/[spill_dir] are as for {!sweep_sharded};
+    [prof]/[spans]/[menu] follow
+    {!Exhaustive.sweep_prefix}: per-round measures, per-distinct-leaf
+    ["run"] spans and a shared interned adversary, all single-domain. *)
 
 val sweep_sharded :
   ?faults:Sim.Model.faults ->
@@ -160,15 +118,25 @@ val sweep_sharded :
   ?horizon:int ->
   ?prof:Obs.Prof.acc ->
   ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
   ?table_cap:int ->
   ?spill_dir:string ->
+  menu:Menu.t ->
   algo:Sim.Algorithm.packed ->
   config:Config.t ->
   proposals:Value.t Pid.Map.t ->
   unit ->
   Exhaustive.result * stats
-(** {!sweep} without the metrics reporting or timing — the per-assignment
-    unit {!sweep_binary} and {!Symmetry} build on. Steps [progress] per
-    first-round shard but never sets its total (the top-level driver
-    does). *)
+(** One proposal assignment: {!sweep_prefix} per first-round choice, each
+    with a fresh table, folded in order with {!combine} — bit-identical to
+    the unreduced sweep of the assignment except [distinct_runs]. The
+    per-assignment task of a binary {!Sweep}, and its per-orbit task under
+    symmetry. [spans] wraps each first-round subtree in a
+    ["shard <choice>"] span; every subtree runs on [menu] (see
+    {!Exhaustive.sweep_prefix}).
+
+    Memory bounding (default-off, never affects the result): [table_cap]
+    caps each per-shard table's in-memory entries; once reached, new
+    entries go to a {!Spill} store under [spill_dir] (per shard, deleted
+    when the shard finishes) — or, with no [spill_dir], are dropped, which
+    only costs future hits. Both lookups still count as table hits, so
+    [stats] stay comparable across caps. *)

@@ -213,20 +213,44 @@ let sweep_binary ?faults ?omit_budget ?deadline ?policy ?metrics ?horizon
    round bound must then be supplied explicitly, computed from the sweep's
    real horizon so that it matches what [Runner.run] would use. *)
 
-let sweep_prefix ?faults ?omit_budget ?deadline ?(policy = Serial.Prefixes)
-    ?horizon ?prof ?(spans = Obs.Span.disabled)
-    ~algo:(Sim.Algorithm.Packed (module A)) ~config ~proposals ~prefix () =
+type sweeper =
+  ?deadline:float ->
+  ?prof:Obs.Prof.acc ->
+  ?spans:Obs.Span.t ->
+  Serial.choice list ->
+  result * int
+
+let sweep_prefix ?faults ?omit_budget ?(policy = Serial.Prefixes) ?horizon
+    ?menu ~algo:(Sim.Algorithm.Packed (module A)) ~config ~proposals () =
   let module E = Sim.Engine.Make (A) in
   let horizon = Option.value horizon ~default:(Config.t config + 2) in
   let n = Config.n config in
   let max_rounds = Sim.Engine.round_bound config ~horizon ~gst:1 in
   let faults_v = Option.value faults ~default:Sim.Model.Crash_only in
+  let menu =
+    match menu with
+    | Some m -> m
+    | None -> Menu.create ~faults:faults_v ?omit_budget ~policy config
+  in
+  let initial = Serial.initial ?omit_budget ~faults:faults_v config in
+  (* One arena for every call, its round-1 state saved at the bottom of
+     the snapshot stack: a call starts by restoring it, so its interned
+     spines and snapshot slots carry over from call to call. A DFS cut
+     short by the deadline leaves its own snapshots above the base, so
+     the next call gets a fresh arena. *)
+  let fresh () =
+    let a = E.Arena.create config ~proposals in
+    E.Arena.save a;
+    a
+  in
+  let base = ref (fresh ()) in
+  fun ?deadline ?prof ?(spans = Obs.Span.disabled) prefix ->
   let depth0 = horizon - List.length prefix in
   if depth0 < 0 then invalid_arg "Serial.fold: prefix longer than the horizon";
-  let menu = Menu.create ~faults:faults_v ?omit_budget ~policy config in
   let check = deadline_check deadline in
   let edges = ref 0 in
-  let arena = E.Arena.create config ~proposals in
+  let arena = !base in
+  E.Arena.restore arena;
   let step_arena cplan =
     match prof with
     | None -> E.Arena.step arena cplan
@@ -250,10 +274,7 @@ let sweep_prefix ?faults ?omit_budget ?deadline ?(policy = Serial.Prefixes)
           with Sim.Engine.Step_error e -> root_err := Some e))
     prefix;
   let root_node =
-    Menu.node_of menu
-      (List.fold_left Serial.advance
-         (Serial.initial ?omit_budget ~faults:faults_v config)
-         prefix)
+    Menu.node_of menu (List.fold_left Serial.advance initial prefix)
   in
   let acc = ref empty in
   (* The choice path below the prefix, filled in place as the DFS
@@ -306,61 +327,24 @@ let sweep_prefix ?faults ?omit_budget ?deadline ?(policy = Serial.Prefixes)
           E.Arena.drop arena
   in
   (try go depth0 root_node !root_err
-   with Expired -> acc := { !acc with expired = true });
+   with Expired ->
+     acc := { !acc with expired = true };
+     base := fresh ());
   (!acc, !edges)
 
-let prefix_hits ~horizon result ~edges = (result.runs * horizon) - edges
-
-let sweep_incremental ?faults ?omit_budget ?deadline ?policy ?metrics ?horizon
-    ?prof ?(spans = Obs.Span.disabled) ?(progress = Obs.Progress.disabled)
-    ~algo ~config ~proposals () =
-  let horizon = Option.value horizon ~default:(Config.t config + 2) in
-  let started = stopwatch () in
-  Obs.Progress.set_total progress 1;
-  let result, edges =
-    Obs.Span.with_ spans "sweep" (fun () ->
-        sweep_prefix ?faults ?omit_budget ?deadline ?policy ~horizon ?prof
-          ~spans ~algo ~config ~proposals ~prefix:[] ())
-  in
-  if Obs.Progress.enabled progress then
-    Obs.Progress.step progress ~items:1 ~runs:result.runs ~hits:0 ~lookups:0;
-  report_sweep metrics ~started ~prefix_hits:(prefix_hits ~horizon result ~edges)
-    result;
-  result
-
-let sweep_binary_incremental ?faults ?omit_budget ?deadline ?policy ?metrics
-    ?horizon ?prof ?(spans = Obs.Span.disabled)
-    ?(progress = Obs.Progress.disabled) ~algo ~config () =
-  let horizon = Option.value horizon ~default:(Config.t config + 2) in
-  let started = stopwatch () in
-  let assignments = binary_assignments config in
-  Obs.Progress.set_total progress (List.length assignments);
-  let result, edges =
-    Obs.Span.with_ spans "sweep" (fun () ->
-        let i = ref (-1) in
-        List.fold_left
-          (fun (acc, edges) proposals ->
-            incr i;
-            let subtree () =
-              sweep_prefix ?faults ?omit_budget ?deadline ?policy ~horizon
-                ?prof ~spans ~algo ~config ~proposals ~prefix:[] ()
-            in
-            let r, e =
-              if Obs.Span.enabled spans then
-                Obs.Span.with_ spans
-                  (Printf.sprintf "shard %d" !i)
-                  subtree
-              else subtree ()
-            in
-            if Obs.Progress.enabled progress then
-              Obs.Progress.step progress ~items:1 ~runs:r.runs ~hits:0
-                ~lookups:0;
-            (merge acc r, edges + e))
-          (empty, 0) assignments)
-  in
-  report_sweep metrics ~started ~prefix_hits:(prefix_hits ~horizon result ~edges)
-    result;
-  result
+(* The per-assignment task of a binary sweep ({!Sweep}), folded in
+   assignment order over one shared menu, as a single domain of {!Sweep}
+   runs it. *)
+let sweep_binary_incremental ?(faults = Sim.Model.Crash_only) ?omit_budget
+    ?(policy = Serial.Prefixes) ?horizon ~algo ~config () =
+  let menu = Menu.create ~faults ?omit_budget ~policy config in
+  List.fold_left
+    (fun acc proposals ->
+      merge acc
+        (fst
+           (sweep_prefix ~faults ?omit_budget ~policy ?horizon ~menu ~algo
+              ~config ~proposals () [])))
+    empty (binary_assignments config)
 
 let pp_result ppf r =
   let undecided = r.min_decision = max_int in

@@ -19,11 +19,12 @@ type crashed_run = {
     round, reason). *)
 
 type shard_failure = { shard : int; context : string; message : string }
-(** A {!Parallel} shard whose worker raised something the engine did not
-    contain (e.g. an exception escaping [Algorithm.init]). [shard] is the
-    shard's index in enumeration order and [context] describes the
-    subproblem (first-round choice or proposal assignment) so the failure
-    is reproducible. Serial sweeps never produce these. *)
+(** A {!Sweep} task that raised something the engine did not contain
+    (e.g. an exception escaping [Algorithm.init]). [shard] is the task's
+    index in enumeration order and [context] describes the subproblem
+    (first-round choice, proposal assignment or orbit) so the failure is
+    reproducible. Only {!Sweep.run} produces these, under every
+    executor alike. *)
 
 type result = {
   runs : int;
@@ -47,11 +48,11 @@ type result = {
   crashed : crashed_run list;
       (** runs contained after a {!Sim.Engine.Step_error}; counted in
           [runs] but in no other aggregate. Like [violations], the list is
-          the reverse of enumeration order, and serial, incremental and
-          parallel sweeps produce it bit-identically. *)
+          the reverse of enumeration order, and {!sweep} and {!Sweep.run}
+          produce it bit-identically under every executor. *)
   shard_failures : shard_failure list;
-      (** failed {!Parallel} shards, in shard order; their subtrees'
-          runs are not counted anywhere else. *)
+      (** failed {!Sweep} tasks, in task order; their subtrees' runs are
+          not counted anywhere else. *)
   expired : bool;
       (** a wall-clock [deadline] passed mid-sweep: every count above is a
           faithful account of the {e explored} part of the space only.
@@ -71,8 +72,7 @@ exception Expired
 val deadline_check : float option -> unit -> unit
 (** [deadline_check deadline ()] raises {!Expired} when [deadline] is
     [Some d] and [Unix.gettimeofday () > d]; a no-op otherwise. Exposed
-    for the reduction/parallel drivers so every sweep flavour shares one
-    notion of expiry. *)
+    for the DFS kernels so every sweep shares one notion of expiry. *)
 
 val merge : result -> result -> result
 (** Aggregate two sweep results. Associative with unit {!empty}; keeps the
@@ -112,7 +112,7 @@ val sweep :
     (default [t + 2]; crashes later than that cannot affect the decision
     rounds of any algorithm here) under [policy] (default [Prefixes]).
     Every run is simulated from round 1 — the simple baseline;
-    {!sweep_incremental} computes the identical result faster.
+    {!Sweep.run} computes the identical result faster.
 
     [faults] (default [Crash_only]) selects the adversary's fault menu and
     [omit_budget] (default 1, clamped per {!Serial.split_budget}) the
@@ -149,83 +149,64 @@ val sweep_binary :
   result
 (** {!sweep} over {e all} [2^n] binary proposal assignments, aggregated. *)
 
-val sweep_incremental :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?deadline:float ->
-  ?policy:Serial.policy ->
-  ?metrics:Obs.Metrics.t ->
-  ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  proposals:Value.t Pid.Map.t ->
-  unit ->
-  result
-(** Same result as {!sweep}, bit-identical (same runs, decision rounds,
-    witness and violation list), computed by carrying one engine arena
-    ({!Sim.Engine.Make.Arena}) down the choice-tree DFS, with a snapshot
-    at each branch point: the shared prefix of two schedules is simulated
-    once instead of once per leaf.
-
-    Instrumentation (all default-off, none of it affects the result):
-    [prof] accumulates per-engine-round GC deltas; [spans] records a
-    ["sweep"] span with one ["run"] span per simulated leaf; [progress]
-    is stepped at shard granularity (here: once). The caller owns
-    {!Obs.Progress.finish} and the {!Obs.Prof.flush}. *)
-
 val sweep_binary_incremental :
   ?faults:Sim.Model.faults ->
   ?omit_budget:int ->
-  ?deadline:float ->
   ?policy:Serial.policy ->
-  ?metrics:Obs.Metrics.t ->
   ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
   algo:Sim.Algorithm.packed ->
   config:Config.t ->
   unit ->
   result
-(** {!sweep_incremental} over all [2^n] binary assignments; bit-identical
-    to {!sweep_binary}. [progress] steps once per assignment (with a
-    total), [spans] wraps each assignment in a ["shard <i>"] span. *)
+(** {!sweep_binary}, bit-identical, computed as the unreduced binary
+    {!Sweep} does it on one domain: one {!sweep_prefix} per assignment
+    with an empty prefix, all on one shared {!Menu}, folded with {!merge}
+    in assignment order. Reports nothing;
+    [ipi sweep] and the instrumented callers go through {!Sweep.run}. *)
+
+type sweeper =
+  ?deadline:float ->
+  ?prof:Obs.Prof.acc ->
+  ?spans:Obs.Span.t ->
+  Serial.choice list ->
+  result * int
 
 val sweep_prefix :
   ?faults:Sim.Model.faults ->
   ?omit_budget:int ->
-  ?deadline:float ->
   ?policy:Serial.policy ->
   ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
+  ?menu:Menu.t ->
   algo:Sim.Algorithm.packed ->
   config:Config.t ->
   proposals:Value.t Pid.Map.t ->
-  prefix:Serial.choice list ->
   unit ->
-  result * int
-(** Prefix-sharing sweep of the single subtree whose first rounds are pinned
-    to [prefix] — the unit of work {!Parallel} shards across domains.
+  sweeper
+(** [sweep_prefix … () ?deadline ?prof ?spans prefix] is the
+    prefix-sharing sweep of the single subtree whose first rounds are
+    pinned to [prefix] — the unit of work {!Sweep} runs as one task.
     Returns the subtree's result together with the number of engine rounds
     stepped during the DFS (for the [mc.prefix_hits] accounting); reports
-    no metrics itself. Folding [sweep_prefix] results with {!merge} over
-    the first-round choices in order yields exactly
-    {!sweep_incremental}'s result except for the [violations] and
-    [crashed] orders (each subtree's lists stay newest-first within the
-    subtree). A {!Sim.Engine.Step_error} on an edge of the choice tree
-    poisons the subtree below it: every leaf under the edge is recorded
-    as a {!crashed_run} with that error, matching what the from-scratch
+    no metrics itself. Folding [sweep_prefix] results over the first-round
+    choices in order with {!Dedup.combine} (which keeps the serial
+    newest-first list order) yields exactly {!sweep}'s result. A
+    {!Sim.Engine.Step_error} on an edge of the choice tree poisons the
+    subtree below it: every leaf under the edge is recorded as a
+    {!crashed_run} with that error, matching what the from-scratch
     {!sweep} observes run by run.
+
+    The staged part is set up once — one arena, rewound to round 1 at the
+    start of every call, and [menu] (default: a fresh one, else created
+    with the same [faults], [omit_budget], [policy] and [config]) — so a
+    domain of a fixed-scope {!Sweep} interns adversary states and inbox
+    spines once for all its tasks. No call's result depends on earlier
+    calls.
 
     [prof] measures every engine round the subtree executes (DFS edges
     and {!Sim.Engine.Make.Arena.finish} tails); [spans] wraps each
-    simulated leaf in a ["run"] span. When the caller is a parallel
-    driver, both must be owned by the shard's worker domain — GC deltas
-    and span recorders are single-domain. *)
+    simulated leaf in a ["run"] span. Like the arena and the menu, they
+    must be owned by the domain that runs the subtree — GC deltas and
+    span recorders are single-domain. *)
 
 type stopwatch
 (** Wall + CPU clocks captured together at sweep start. *)
@@ -245,7 +226,7 @@ val report_sweep :
 (** Report a finished sweep into a metrics registry (no-op on [None]):
     the counters and gauges listed under {!sweep}, with [domains]
     (default 1) and [prefix_hits] (default 0, omitted when 0) as
-    annotations from the caller's driver. Reduced sweeps also pass
+    annotations from the caller's driver ({!Sweep.run}). Reduced sweeps also pass
     [dedup] (transposition-table [(hits, entries)], reported as the
     [mc.dedup_hits] counter and [mc.dedup_entries] gauge), [arena]
     (branch-execution [(snapshots, restores)], the [mc.arena_snapshots]

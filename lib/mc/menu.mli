@@ -10,8 +10,8 @@
     computes each of these once per {e distinct} adversary state; a warm
     edge costs two array loads and allocates nothing.
 
-    Ownership matches the arena's: one menu per shard, one domain, never
-    shared. *)
+    Ownership matches the arena's: one domain at a time. {!Sweep} keeps
+    one per domain and hands it from task to task, never to two at once. *)
 
 open Kernel
 

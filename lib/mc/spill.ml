@@ -76,8 +76,6 @@ let find t ~key =
       in
       scan bucket
 
-let entries t = t.count
-let bytes_on_disk t = t.size
 
 let close t =
   match t.fd with

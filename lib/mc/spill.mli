@@ -31,12 +31,6 @@ val find : t -> key:string -> string option
 (** The payload stored for [key], comparing full key bytes on digest
     match. *)
 
-val entries : t -> int
-(** Records appended so far. *)
-
-val bytes_on_disk : t -> int
-(** Current size of the backing file. *)
-
 val close : t -> unit
 (** Close and delete the backing file. Idempotent; {!add}/{!find} after
     [close] raise [Invalid_argument]. *)

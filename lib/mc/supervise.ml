@@ -3,16 +3,6 @@ module J = Obs.Json
 
 type chaos_mode = Kill | Stall | Slow
 
-let chaos_mode_of_string = function
-  | "kill" -> Ok Kill
-  | "stall" -> Ok Stall
-  | "slow" -> Ok Slow
-  | s -> Error (Printf.sprintf "unknown chaos mode %S (kill|stall|slow)" s)
-
-let pp_chaos_mode ppf m =
-  Format.pp_print_string ppf
-    (match m with Kill -> "kill" | Stall -> "stall" | Slow -> "slow")
-
 type chaos = {
   mode : chaos_mode;
   seed : int;
@@ -32,17 +22,6 @@ type metrics = {
   chaos_injected : int;
   frames : int;
 }
-
-let metrics_to_json m =
-  J.Obj
-    [
-      ("spawned", J.Int m.spawned);
-      ("deaths", J.Int m.deaths);
-      ("timeouts", J.Int m.timeouts);
-      ("retries", J.Int m.retries);
-      ("chaos_injected", J.Int m.chaos_injected);
-      ("frames", J.Int m.frames);
-    ]
 
 let pp_metrics ppf m =
   Format.fprintf ppf
@@ -71,7 +50,8 @@ type slot = {
 
 let max_backoff = 5.0
 
-let run ?chaos ?(should_stop = fun () -> false) ?(on_result = fun ~task:_ _ -> ())
+let run ?chaos ?(should_stop = fun () -> false)
+    ?(on_assign = fun ~task:_ -> ()) ?(on_result = fun ~task:_ _ -> ())
     ?(chunk_timeout = 60.) ?(max_retries = 3) ?(backoff = 0.1) ~workers ~spawn
     ~tasks () =
   if workers < 1 then invalid_arg "Supervise.run: workers < 1";
@@ -176,6 +156,7 @@ let run ?chaos ?(should_stop = fun () -> false) ?(on_result = fun ~task:_ _ -> (
     | None -> ()
     | Some task ->
         slot.assigned <- Some (task, now +. chunk_timeout);
+        on_assign ~task;
         send_frame slot (J.Obj [ ("task", J.Int task) ]);
         inject_chaos slot ~now
   in

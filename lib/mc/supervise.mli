@@ -29,7 +29,7 @@
     frame without a valid in-flight ["task"] as a protocol error (death).
 
     {b Determinism.} Completion order is timing-dependent, but the
-    supervisor never interprets payloads — the driver ({!Distrib}) merges
+    supervisor never interprets payloads — the driver ({!Sweep}) merges
     them by task index in enumeration order, which is what keeps
     aggregates bit-identical to serial for any worker count, any chaos,
     any interleaving.
@@ -44,11 +44,6 @@
     undisturbed attempt. *)
 
 type chaos_mode = Kill | Stall | Slow
-
-val chaos_mode_of_string : string -> (chaos_mode, string) result
-(** ["kill" | "stall" | "slow"], as the CLI spells them. *)
-
-val pp_chaos_mode : Format.formatter -> chaos_mode -> unit
 
 type chaos = {
   mode : chaos_mode;
@@ -70,7 +65,6 @@ type metrics = {
   frames : int;  (** well-formed result frames *)
 }
 
-val metrics_to_json : metrics -> Obs.Json.t
 val pp_metrics : Format.formatter -> metrics -> unit
 
 type outcome = {
@@ -85,6 +79,7 @@ type outcome = {
 val run :
   ?chaos:chaos ->
   ?should_stop:(unit -> bool) ->
+  ?on_assign:(task:int -> unit) ->
   ?on_result:(task:int -> Obs.Json.t -> unit) ->
   ?chunk_timeout:float ->
   ?max_retries:int ->
@@ -95,7 +90,8 @@ val run :
   unit ->
   outcome
 (** Drive [tasks] (the driver's indices, any order — preserved for
-    assignment) to completion across [workers] children. [on_result] runs
+    assignment) to completion across [workers] children. [on_assign] runs
+    each time a task is handed to a worker, retries included. [on_result] runs
     in completion order as frames arrive — the driver's hook for progress
     meters and periodic checkpoints. [should_stop] is polled every loop
     iteration; once true, workers are killed and unfinished tasks land in

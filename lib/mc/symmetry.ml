@@ -31,61 +31,3 @@ let scale m (r : Exhaustive.result) =
     Exhaustive.runs = r.Exhaustive.runs * m;
     undecided_runs = r.Exhaustive.undecided_runs * m;
   }
-
-let sweep_orbit ?faults ?omit_budget ?deadline ?policy ?horizon ?prof ?spans
-    ?progress ~algo ~config ~orbit () =
-  let r, stats =
-    Dedup.sweep_sharded ?faults ?omit_budget ?deadline ?policy ?horizon ?prof
-      ?spans ?progress ~algo ~config ~proposals:orbit.proposals ()
-  in
-  (scale orbit.multiplicity r, stats)
-
-let sweep_orbits ?faults ?omit_budget ?deadline ?policy ?horizon ?prof
-    ?(spans = Obs.Span.disabled) ?progress ~algo ~config () =
-  List.map
-    (fun orbit ->
-      let one () =
-        sweep_orbit ?faults ?omit_budget ?deadline ?policy ?horizon ?prof
-          ~spans ?progress ~algo ~config ~orbit ()
-      in
-      let r, stats =
-        if Obs.Span.enabled spans then
-          Obs.Span.with_ spans
-            (Printf.sprintf "orbit |ones|=%d" (Pid.Set.cardinal orbit.ones))
-            one
-        else one ()
-      in
-      (orbit, r, stats))
-    (orbits config)
-
-let sweep_binary ?faults ?omit_budget ?deadline ?policy ?metrics ?horizon
-    ?prof ?(spans = Obs.Span.disabled) ?(progress = Obs.Progress.disabled)
-    ~algo ~config () =
-  if not (Sim.Algorithm.symmetric algo) then
-    Dedup.sweep_binary ?faults ?omit_budget ?deadline ?policy ?metrics ?horizon
-      ?prof ~spans ~progress ~algo ~config ()
-  else begin
-    let horizon = Option.value horizon ~default:(Config.t config + 2) in
-    let started = Exhaustive.stopwatch () in
-    Obs.Progress.set_total progress
-      ((Config.n config + 1)
-      * List.length (Dedup.first_choices ?faults ?omit_budget ?policy config));
-    let per_orbit =
-      Obs.Span.with_ spans "sweep" (fun () ->
-          sweep_orbits ?faults ?omit_budget ?deadline ?policy ~horizon ?prof
-            ~spans ~progress ~algo ~config ())
-    in
-    let result, stats =
-      List.fold_left
-        (fun (acc, stats) (_, r, s) ->
-          (Exhaustive.merge acc r, Dedup.merge_stats stats s))
-        (Exhaustive.empty, Dedup.zero_stats)
-        per_orbit
-    in
-    Exhaustive.report_sweep metrics ~started
-      ~prefix_hits:((result.Exhaustive.runs * horizon) - stats.Dedup.edges)
-      ~dedup:(stats.Dedup.hits, stats.Dedup.entries)
-      ~arena:(stats.Dedup.snapshots, stats.Dedup.restores)
-      ~orbits:(List.length per_orbit) result;
-    (result, stats)
-  end

@@ -24,7 +24,13 @@
     [C(n,k)] permuted copies); their unreduced counts are recoverable as
     [sum multiplicity * length per-orbit list], which the property tests
     check. [distinct_runs] counts the representative's explored leaves
-    only. *)
+    only.
+
+    {!Sweep} applies the reduction: under [Dedup_sym] a binary sweep of a
+    {!Sim.Algorithm.S.symmetric} algorithm runs one task per orbit — a
+    {!Dedup.sweep_sharded} of the representative, {!scale}d — and an
+    asymmetric algorithm falls back to plain dedup, so asking for symmetry
+    never unsoundly reduces it. *)
 
 open Kernel
 
@@ -47,64 +53,3 @@ val scale : int -> Exhaustive.result -> Exhaustive.result
     [runs] and [undecided_runs], leaves everything else (including
     [distinct_runs] and the violation/crashed lists) as the
     representative's. *)
-
-val sweep_orbit :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?deadline:float ->
-  ?policy:Serial.policy ->
-  ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  orbit:orbit ->
-  unit ->
-  Exhaustive.result * Dedup.stats
-(** Dedup-sweep one orbit's representative and {!scale} it — the sharding
-    unit of the parallel symmetric sweep. Reports no metrics itself.
-    Instrumentation threads through to {!Dedup.sweep_sharded} (progress
-    steps per first-round shard; [runs] deltas are the representative's,
-    unscaled). *)
-
-val sweep_orbits :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?deadline:float ->
-  ?policy:Serial.policy ->
-  ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  unit ->
-  (orbit * Exhaustive.result * Dedup.stats) list
-(** {!sweep_orbit} over every orbit, keeping the per-orbit split — what
-    the orbit-equivalence property tests consume. [spans] wraps each
-    orbit in an ["orbit |ones|=k"] span. *)
-
-val sweep_binary :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?deadline:float ->
-  ?policy:Serial.policy ->
-  ?metrics:Obs.Metrics.t ->
-  ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  unit ->
-  Exhaustive.result * Dedup.stats
-(** The full reduced binary sweep: {!sweep_orbits} merged in orbit order.
-    [runs] equals the unreduced [2^n]-assignment count; the decision-round
-    interval and [undecided_runs] match the unreduced sweep exactly.
-
-    If the algorithm is {e not} declared {!Sim.Algorithm.S.symmetric} this
-    falls back to {!Dedup.sweep_binary} (all [2^n] assignments, dedup
-    only) — asking for symmetry never unsoundly reduces an asymmetric
-    algorithm. Reports the {!Dedup.sweep} metrics plus the [mc.orbits]
-    gauge when the orbit reduction actually applied. *)

@@ -74,3 +74,71 @@ let af2 = Sim.Algorithm.Packed (module Indulgent.Af_plus_2)
 let dls = Sim.Algorithm.Packed (module Baselines.Dls)
 let early_fs = Sim.Algorithm.Packed (module Baselines.Early_floodset)
 let floodmin = Sim.Algorithm.Packed (module Baselines.Floodmin.Std)
+
+let with_temp_file f =
+  let path = Filename.temp_file "ipi-test" ".tmp" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "ipi-test" ".dir" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun name ->
+          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () -> f dir)
+
+(* Sweeps through the one driver. *)
+let fixed_spec ?faults ?omit_budget ?policy ?horizon ?reduce ?table_cap
+    ?spill_dir ~algo config =
+  Mc.Sweep.make ?faults ?omit_budget ?policy ?horizon ?reduce ?table_cap
+    ?spill_dir ~algo ~config
+    (Mc.Sweep.Fixed (Sim.Runner.distinct_proposals config))
+
+let binary_spec ?faults ?omit_budget ?policy ?horizon ?reduce ?table_cap
+    ?spill_dir ~algo config =
+  Mc.Sweep.make ?faults ?omit_budget ?policy ?horizon ?reduce ?table_cap
+    ?spill_dir ~algo ~config Mc.Sweep.Binary
+
+let sweep_outcome ?checkpoint ?resume ?deadline ?should_stop ?metrics ?prof
+    ?spans ?progress ?(exec = Mc.Sweep.Domains 1) spec =
+  match
+    Mc.Sweep.run ?checkpoint ?resume ?deadline ?should_stop ?metrics ?prof
+      ?spans ?progress spec exec
+  with
+  | Ok o -> o
+  | Error msg -> Alcotest.fail ("sweep: " ^ msg)
+
+let load_checkpoint path =
+  match Mc.Checkpoint.load ~path with
+  | Ok ck -> ck
+  | Error e ->
+      Alcotest.fail (Format.asprintf "%a" Mc.Checkpoint.pp_load_error e)
+
+(* The in-process executors every spec is checked under: serial, four
+   domains, and a serial run stopped after two tasks with a checkpoint,
+   then resumed on two domains. *)
+let in_process_outcomes spec =
+  let checkpointed () =
+    with_temp_file @@ fun path ->
+    let polls = ref 0 in
+    ignore
+      (sweep_outcome ~checkpoint:(path, 1)
+         ~should_stop:(fun () ->
+           incr polls;
+           !polls > 2)
+         spec);
+    sweep_outcome ~resume:(load_checkpoint path) ~exec:(Mc.Sweep.Domains 2)
+      spec
+  in
+  [
+    ("jobs=1", sweep_outcome spec);
+    ("jobs=4", sweep_outcome ~exec:(Mc.Sweep.Domains 4) spec);
+    ("checkpoint+resume", checkpointed ());
+  ]

@@ -272,8 +272,7 @@ let test_shrink_omission_minimal () =
   let faults = Sim.Model.Send_omit_only in
   let proposals = props c41 in
   let r =
-    Mc.Exhaustive.sweep_incremental ~faults ~algo:floodset ~config:c41
-      ~proposals ()
+    Mc.Exhaustive.sweep ~faults ~algo:floodset ~config:c41 ~proposals ()
   in
   let choices, _ =
     match r.Mc.Exhaustive.violations with

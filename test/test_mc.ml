@@ -121,7 +121,7 @@ let test_exhaustive_at2 () =
   check_bool "many runs" true (r.Mc.Exhaustive.runs > 500)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: incremental and parallel sweeps == the serial sweep     *)
+(* Determinism: every executor of the one driver == the per-leaf sweep  *)
 
 (* Field-by-field equality, violation order included — "bit-identical" is
    the correctness anchor of the prefix-sharing and parallel drivers. *)
@@ -136,6 +136,16 @@ let result_equal (a : Mc.Exhaustive.result) (b : Mc.Exhaustive.result) =
   && a.Mc.Exhaustive.shard_failures = b.Mc.Exhaustive.shard_failures
   && a.Mc.Exhaustive.expired = b.Mc.Exhaustive.expired
 
+let sweep ?exec spec = (sweep_outcome ?exec spec).Mc.Sweep.result
+
+(* [expect] equals the result of [spec] under every in-process executor. *)
+let check_executors tag expect spec =
+  List.iter
+    (fun (ex, (o : Mc.Sweep.outcome)) ->
+      check_bool (Printf.sprintf "%s: %s == reference" tag ex) true
+        (result_equal expect o.result))
+    (in_process_outcomes spec)
+
 let test_sweep_determinism () =
   (* n=4 with t in {1,2} where the algorithm's resilience admits it:
      A(t+2) needs 2t < n and AF+2 needs 3t < n, so their t=2 rows move to
@@ -147,14 +157,7 @@ let test_sweep_determinism () =
       let proposals = Sim.Runner.distinct_proposals config in
       let horizon = t + 2 in
       let s = Mc.Exhaustive.sweep ~algo ~config ~proposals ~horizon () in
-      let i =
-        Mc.Exhaustive.sweep_incremental ~algo ~config ~proposals ~horizon ()
-      in
-      let p =
-        Mc.Parallel.sweep ~jobs:4 ~algo ~config ~proposals ~horizon ()
-      in
-      check_bool (name ^ ": incremental == serial") true (result_equal s i);
-      check_bool (name ^ ": parallel == serial") true (result_equal s p))
+      check_executors name s (fixed_spec ~horizon ~algo config))
     [
       (floodset, "floodset n=4 t=1", 4, 1);
       (floodset, "floodset n=4 t=2", 4, 2);
@@ -166,9 +169,8 @@ let test_sweep_determinism () =
 let test_sweep_binary_determinism () =
   let s = Mc.Exhaustive.sweep_binary ~algo:at2 ~config:c41 () in
   let i = Mc.Exhaustive.sweep_binary_incremental ~algo:at2 ~config:c41 () in
-  let p = Mc.Parallel.sweep_binary ~jobs:4 ~algo:at2 ~config:c41 () in
   check_bool "binary incremental == serial" true (result_equal s i);
-  check_bool "binary parallel == serial" true (result_equal s p)
+  check_executors "binary" s (binary_spec ~algo:at2 c41)
 
 (* ------------------------------------------------------------------ *)
 (* State-space reduction: transposition table and symmetry              *)
@@ -189,10 +191,13 @@ let reduction_fixtures =
 
 let both_policies = [ (Mc.Serial.Prefixes, "pfx"); (Mc.Serial.All_subsets, "all") ]
 
-(* Dedup is bit-identical to the unreduced incremental sweep on every
-   observable field (result_equal covers them all); only [distinct_runs]
-   may shrink, and a reduction that explores nothing it didn't have to
-   never explores more than the enumeration. *)
+let fixed_at ?policy ?reduce ~algo config proposals =
+  Mc.Sweep.make ?policy ?reduce ~algo ~config (Mc.Sweep.Fixed proposals)
+
+(* Dedup is bit-identical to the unreduced sweep on every observable
+   field (result_equal covers them all); only [distinct_runs] may shrink,
+   and a reduction that explores nothing it didn't have to never explores
+   more than the enumeration. *)
 let test_dedup_equivalence () =
   List.iter
     (fun (policy, ptag) ->
@@ -200,11 +205,8 @@ let test_dedup_equivalence () =
         (fun (algo, name, n, t) ->
           let tag = Printf.sprintf "%s n=%d t=%d %s" name n t ptag in
           let config = config ~n ~t in
-          let proposals = Sim.Runner.distinct_proposals config in
-          let u =
-            Mc.Exhaustive.sweep_incremental ~policy ~algo ~config ~proposals ()
-          in
-          let r, _ = Mc.Dedup.sweep ~policy ~algo ~config ~proposals () in
+          let u = sweep (fixed_spec ~policy ~algo config) in
+          let r = sweep (fixed_spec ~policy ~reduce:Mc.Sweep.Dedup ~algo config) in
           check_bool (tag ^ ": dedup == unreduced") true (result_equal u r);
           check_bool (tag ^ ": explored <= runs") true
             (r.Mc.Exhaustive.distinct_runs <= r.Mc.Exhaustive.runs))
@@ -229,10 +231,10 @@ let prop_dedup_equivalent_on_random_proposals =
              (List.init n (fun i -> i + 1)))
       in
       let proposals = Sim.Runner.binary_proposals config ~ones in
-      let u =
-        Mc.Exhaustive.sweep_incremental ~policy ~algo ~config ~proposals ()
+      let u = sweep (fixed_at ~policy ~algo config proposals) in
+      let r =
+        sweep (fixed_at ~policy ~reduce:Mc.Sweep.Dedup ~algo config proposals)
       in
-      let r, _ = Mc.Dedup.sweep ~policy ~algo ~config ~proposals () in
       result_equal u r)
 
 (* Symmetry: exact aggregates, and the orbit weighting accounts for every
@@ -249,7 +251,9 @@ let test_symmetry_equivalence () =
           let u =
             Mc.Exhaustive.sweep_binary_incremental ~policy ~algo ~config ()
           in
-          let r, _ = Mc.Symmetry.sweep_binary ~policy ~algo ~config () in
+          let r =
+            sweep (binary_spec ~policy ~reduce:Mc.Sweep.Dedup_sym ~algo config)
+          in
           check_int (tag ^ ": runs") u.Mc.Exhaustive.runs r.Mc.Exhaustive.runs;
           check_int (tag ^ ": max") u.Mc.Exhaustive.max_decision
             r.Mc.Exhaustive.max_decision;
@@ -257,12 +261,16 @@ let test_symmetry_equivalence () =
             r.Mc.Exhaustive.min_decision;
           check_int (tag ^ ": undecided") u.Mc.Exhaustive.undecided_runs
             r.Mc.Exhaustive.undecided_runs;
-          let per = Mc.Symmetry.sweep_orbits ~policy ~algo ~config () in
           let weighted f =
             List.fold_left
-              (fun acc (o, r, _) ->
-                acc + (o.Mc.Symmetry.multiplicity * List.length (f r)))
-              0 per
+              (fun acc (o : Mc.Symmetry.orbit) ->
+                let r, _ =
+                  Mc.Dedup.sweep_sharded ~policy ~algo ~config
+                    ~menu:(Mc.Menu.create ~policy config)
+                    ~proposals:o.proposals ()
+                in
+                acc + (o.multiplicity * List.length (f r)))
+              0 (Mc.Symmetry.orbits config)
           in
           check_int
             (tag ^ ": orbit-weighted violations")
@@ -291,34 +299,38 @@ let test_symmetry_orbits () =
 
 (* A(t+2).Standard is not symmetric (its Ct_diamond_s fallback elects
    coordinators by pid), so asking for symmetry must fall back to plain
-   dedup — bit-identically. *)
+   dedup — bit-identically, with one task per assignment. *)
 let test_symmetry_asymmetric_fallback () =
   check_bool "at2 not symmetric" false (Sim.Algorithm.symmetric at2);
   let d, ds = Mc.Dedup.sweep_binary ~algo:at2 ~config:c41 () in
-  let s, ss = Mc.Symmetry.sweep_binary ~algo:at2 ~config:c41 () in
-  check_bool "falls back to dedup" true (d = s && ds = ss);
+  let s =
+    sweep_outcome (binary_spec ~reduce:Mc.Sweep.Dedup_sym ~algo:at2 c41)
+  in
+  check_bool "falls back to dedup" true
+    (d = s.result && Some ds = s.stats && s.total_tasks = 16);
   let u = Mc.Exhaustive.sweep_binary_incremental ~algo:at2 ~config:c41 () in
-  check_bool "still == unreduced" true (result_equal u s)
+  check_bool "still == unreduced" true (result_equal u s.result)
 
-(* Reduced sweeps are deterministic across --jobs: the parallel reduced
-   drivers equal the serial reduced ones on every field, stats included. *)
+(* Reduced sweeps are deterministic across executors: every field, stats
+   included, equals the serial run's. *)
 let test_reduced_jobs_determinism () =
-  let config = c41 in
-  let proposals = Sim.Runner.distinct_proposals config in
-  let sd = Mc.Dedup.sweep ~algo:floodset ~config ~proposals () in
-  let sbd = Mc.Dedup.sweep_binary ~algo:floodset ~config () in
-  let sbs = Mc.Symmetry.sweep_binary ~algo:floodset ~config () in
   List.iter
-    (fun jobs ->
-      let tag = Printf.sprintf "jobs=%d" jobs in
-      check_bool (tag ^ ": dedup") true
-        (Mc.Parallel.sweep_dedup ~jobs ~algo:floodset ~config ~proposals ()
-        = sd);
-      check_bool (tag ^ ": binary dedup") true
-        (Mc.Parallel.sweep_binary_dedup ~jobs ~algo:floodset ~config () = sbd);
-      check_bool (tag ^ ": binary dedup+sym") true
-        (Mc.Parallel.sweep_binary_sym ~jobs ~algo:floodset ~config () = sbs))
-    [ 1; 2; 4 ]
+    (fun (tag, spec) ->
+      match in_process_outcomes spec with
+      | [] -> ()
+      | (_, (serial : Mc.Sweep.outcome)) :: rest ->
+          List.iter
+            (fun (ex, (o : Mc.Sweep.outcome)) ->
+              check_bool (Printf.sprintf "%s %s" tag ex) true
+                (o.result = serial.result && o.stats = serial.stats
+               && o.edges = serial.edges))
+            rest)
+    [
+      ("dedup", fixed_spec ~reduce:Mc.Sweep.Dedup ~algo:floodset c41);
+      ("binary dedup", binary_spec ~reduce:Mc.Sweep.Dedup ~algo:floodset c41);
+      ( "binary dedup+sym",
+        binary_spec ~reduce:Mc.Sweep.Dedup_sym ~algo:floodset c41 );
+    ]
 
 (* The paper's headline sweep, with every reduction on: A(t+2) still
    decides at exactly t+2 with no violation in any of the runs the
@@ -329,7 +341,7 @@ let test_at2_reduced_t_plus_2 () =
   check_int "dedup max = t+2" 3 r.Mc.Exhaustive.max_decision;
   check_bool "dedup no violations" true (r.Mc.Exhaustive.violations = []);
   check_bool "dedup many runs" true (r.Mc.Exhaustive.runs > 500);
-  let s, _ = Mc.Symmetry.sweep_binary ~algo:at2 ~config:c41 () in
+  let s = sweep (binary_spec ~reduce:Mc.Sweep.Dedup_sym ~algo:at2 c41) in
   check_int "sym min = t+2" 3 s.Mc.Exhaustive.min_decision;
   check_int "sym max = t+2" 3 s.Mc.Exhaustive.max_decision;
   check_bool "sym no violations" true (s.Mc.Exhaustive.violations = [])
@@ -369,7 +381,8 @@ let test_serial_omission_choices () =
 (* The e13 anchor numbers: FloodSet n=4 t=1 breaks under send-omissions
    (its crash-free-round argument fails without a crash being spent)
    while A(t+2) stays safe with its decision interval stretched past t+2
-   — and every driver reports the same result bit-identically. *)
+   — and every executor, reduced or not, reports the same result
+   bit-identically. *)
 let test_omission_sweep_determinism () =
   List.iter
     (fun (algo, name, expect_viol, expect_min, expect_max) ->
@@ -377,20 +390,9 @@ let test_omission_sweep_determinism () =
       let proposals = Sim.Runner.distinct_proposals config in
       let faults = Sim.Model.Send_omit_only in
       let s = Mc.Exhaustive.sweep ~faults ~algo ~config ~proposals () in
-      let i =
-        Mc.Exhaustive.sweep_incremental ~faults ~algo ~config ~proposals ()
-      in
-      let p1 =
-        Mc.Parallel.sweep ~jobs:1 ~faults ~algo ~config ~proposals ()
-      in
-      let p4 =
-        Mc.Parallel.sweep ~jobs:4 ~faults ~algo ~config ~proposals ()
-      in
-      let d, _ = Mc.Dedup.sweep ~faults ~algo ~config ~proposals () in
-      check_bool (name ^ ": incremental == serial") true (result_equal s i);
-      check_bool (name ^ ": jobs=1 == serial") true (result_equal s p1);
-      check_bool (name ^ ": jobs=4 == serial") true (result_equal s p4);
-      check_bool (name ^ ": dedup == unreduced") true (result_equal i d);
+      check_executors name s (fixed_spec ~faults ~algo config);
+      check_executors (name ^ " dedup") s
+        (fixed_spec ~faults ~reduce:Mc.Sweep.Dedup ~algo config);
       check_int (name ^ ": runs") 253 s.Mc.Exhaustive.runs;
       check_int (name ^ ": violations") expect_viol
         (List.length s.Mc.Exhaustive.violations);
@@ -409,10 +411,7 @@ let test_omission_sweep_determinism () =
 let test_omission_sweep_witnesses_replay () =
   let faults = Sim.Model.Mixed in
   let proposals = Sim.Runner.distinct_proposals c41 in
-  let r =
-    Mc.Exhaustive.sweep_incremental ~faults ~algo:floodset ~config:c41
-      ~proposals ()
-  in
+  let r = sweep (fixed_spec ~faults ~algo:floodset c41) in
   check_bool "mixed menu finds violations" true
     (r.Mc.Exhaustive.violations <> []);
   let budget = Mc.Serial.budget_of ~faults c41 in
@@ -432,13 +431,11 @@ let test_omission_sweep_witnesses_replay () =
    passing the menu explicitly changes nothing, and no budget is attached
    to the schedules. *)
 let test_crash_only_bit_compat () =
-  let proposals = Sim.Runner.distinct_proposals c41 in
-  let default_ =
-    Mc.Exhaustive.sweep_incremental ~algo:floodset ~config:c41 ~proposals ()
-  in
+  let default_ = sweep (fixed_spec ~algo:floodset c41) in
   let explicit =
-    Mc.Exhaustive.sweep_incremental ~faults:Sim.Model.Crash_only ~omit_budget:3
-      ~algo:floodset ~config:c41 ~proposals ()
+    sweep
+      (fixed_spec ~faults:Sim.Model.Crash_only ~omit_budget:3 ~algo:floodset
+         c41)
   in
   check_bool "explicit Crash_only == default" true
     (result_equal default_ explicit);
@@ -449,44 +446,63 @@ let test_crash_only_bit_compat () =
    result flagged [expired]; a generous one changes nothing. *)
 let test_sweep_deadline_expiry () =
   let proposals = Sim.Runner.distinct_proposals c41 in
-  let past =
-    Mc.Exhaustive.sweep_incremental
-      ~deadline:(Unix.gettimeofday () -. 1.0)
-      ~algo:floodset ~config:c41 ~proposals ()
-  in
-  check_bool "past deadline expires" true past.Mc.Exhaustive.expired;
-  check_bool "partial accounting only" true
-    (past.Mc.Exhaustive.runs < 253);
-  let plain =
-    Mc.Exhaustive.sweep_incremental ~algo:floodset ~config:c41 ~proposals ()
-  in
+  let past () = Unix.gettimeofday () -. 1.0 in
+  let spec = fixed_spec ~algo:floodset c41 in
+  let expired = sweep_outcome ~deadline:(past ()) spec in
+  check_bool "past deadline expires" true expired.result.expired;
+  check_bool "and is partial" true expired.partial;
+  check_bool "partial accounting only" true (expired.result.runs < 253);
+  let plain = sweep spec in
   let future =
-    Mc.Exhaustive.sweep_incremental
-      ~deadline:(Unix.gettimeofday () +. 3600.0)
-      ~algo:floodset ~config:c41 ~proposals ()
+    (sweep_outcome ~deadline:(Unix.gettimeofday () +. 3600.0) spec).result
   in
   check_bool "future deadline does not expire" false
     future.Mc.Exhaustive.expired;
   check_bool "future deadline == no deadline" true (result_equal plain future);
-  (* the reduced and parallel drivers share the expiry flag *)
-  let d, _ =
-    Mc.Dedup.sweep
-      ~deadline:(Unix.gettimeofday () -. 1.0)
-      ~algo:floodset ~config:c41 ~proposals ()
+  (* every executor and reduction shares the expiry flag *)
+  List.iter
+    (fun (tag, exec, spec) ->
+      check_bool (tag ^ " expires too") true
+        (sweep_outcome ~exec ~deadline:(past ()) spec).result.expired)
+    [
+      ("dedup", Mc.Sweep.Domains 1, fixed_spec ~reduce:Mc.Sweep.Dedup ~algo:floodset c41);
+      ("parallel", Mc.Sweep.Domains 2, spec);
+    ];
+  (* and the DFS kernels stop at the next leaf once a task is under way *)
+  let cut, _ =
+    Mc.Exhaustive.sweep_prefix ~algo:floodset ~config:c41 ~proposals ()
+      ~deadline:(past ()) []
   in
-  check_bool "dedup expires too" true d.Mc.Exhaustive.expired;
-  let p =
-    Mc.Parallel.sweep ~jobs:2
-      ~deadline:(Unix.gettimeofday () -. 1.0)
-      ~algo:floodset ~config:c41 ~proposals ()
+  check_bool "unreduced DFS expires mid-task" true cut.Mc.Exhaustive.expired;
+  (* a staged sweep cut short starts its next call on a fresh arena, and
+     reusing one for every first-round subtree changes no result; mixed
+     faults stretch A(t+2)'s decision rounds, so a stale arena shows *)
+  let faults = Sim.Model.Mixed in
+  let stage () =
+    Mc.Exhaustive.sweep_prefix ~faults ~algo:at2 ~config:c41 ~proposals ()
   in
-  check_bool "parallel expires too" true p.Mc.Exhaustive.expired
+  let staged = stage () in
+  ignore (staged ~deadline:(past ()) []);
+  let fresh prefix = fst (stage () prefix) in
+  check_bool "staged sweep after expiry == fresh" true
+    (result_equal (fresh []) (fst (staged [])));
+  List.iter
+    (fun first ->
+      check_bool "staged subtree == fresh" true
+        (result_equal (fresh [ first ]) (fst (staged [ first ]))))
+    (List.rev (Mc.Dedup.first_choices ~faults c41));
+  let cut, _ =
+    Mc.Dedup.sweep_sharded ~deadline:(past ()) ~algo:floodset ~config:c41
+      ~menu:(Mc.Menu.create ~policy:Mc.Serial.Prefixes c41) ~proposals ()
+  in
+  check_bool "dedup DFS expires mid-task" true cut.Mc.Exhaustive.expired
 
 (* ------------------------------------------------------------------ *)
 (* Fault containment                                                   *)
 
-(* A raising on_receive is contained as a per-run crashed record — in all
-   three sweep drivers, bit-identically, with full pid/round context. *)
+(* A raising on_receive is contained as a per-run crashed record — under
+   the per-leaf sweep and every executor, bit-identically, with full
+   pid/round context. *)
 let test_sweep_contains_step_errors () =
   let algo = Fuzz.Faulty.raising ~at:2 in
   let proposals = Sim.Runner.distinct_proposals c31 in
@@ -501,25 +517,18 @@ let test_sweep_contains_step_errors () =
       check_bool "reason mentions the fault" true
         (contains error.Sim.Engine.reason "injected fault")
   | [] -> Alcotest.fail "expected crashed runs");
-  let i =
-    Mc.Exhaustive.sweep_incremental ~algo ~config:c31 ~proposals ~horizon:2 ()
-  in
-  let p =
-    Mc.Parallel.sweep ~jobs:4 ~algo ~config:c31 ~proposals ~horizon:2 ()
-  in
-  check_bool "incremental == serial (crashed included)" true (result_equal s i);
-  check_bool "parallel == serial (crashed included)" true (result_equal s p)
+  check_executors "crashed included" s (fixed_spec ~horizon:2 ~algo c31)
 
 (* An exception outside the engine's containment (raising init) must
-   surface as per-shard failures with shard context — the Par pool joins
-   and the merged result still arrives. *)
+   surface as per-task failures with task context — the same list under
+   every executor, never persisted to a checkpoint — while the merged
+   result still arrives. *)
 let test_parallel_shard_failures () =
-  let algo = Fuzz.Faulty.raising_init in
-  let proposals = Sim.Runner.distinct_proposals c31 in
-  let r = Mc.Parallel.sweep ~jobs:4 ~algo ~config:c31 ~proposals ~horizon:2 () in
-  check_int "no run completed" 0 r.Mc.Exhaustive.runs;
+  let spec = fixed_spec ~horizon:2 ~algo:Fuzz.Faulty.raising_init c31 in
+  let outcomes = in_process_outcomes spec in
+  let reference = (snd (List.hd outcomes)).Mc.Sweep.result.shard_failures in
   check_bool "every shard failed" true
-    (List.length r.Mc.Exhaustive.shard_failures > 0);
+    (List.length reference = Mc.Sweep.total_tasks spec);
   List.iteri
     (fun i (f : Mc.Exhaustive.shard_failure) ->
       check_int "shards reported in order" i f.Mc.Exhaustive.shard;
@@ -527,9 +536,17 @@ let test_parallel_shard_failures () =
         (f.Mc.Exhaustive.context <> "");
       check_bool "message kept" true
         (contains f.Mc.Exhaustive.message "injected init fault"))
-    r.Mc.Exhaustive.shard_failures;
+    reference;
+  List.iter
+    (fun (ex, (o : Mc.Sweep.outcome)) ->
+      check_int (ex ^ ": no run completed") 0 o.result.runs;
+      check_bool (ex ^ ": same failures") true
+        (o.result.shard_failures = reference);
+      check_bool (ex ^ ": failed tasks never persisted") true
+        (o.completed = []))
+    outcomes;
   (* A healthy sweep reports no shard failures. *)
-  let ok = Mc.Parallel.sweep ~jobs:4 ~algo:floodset ~config:c31 ~proposals () in
+  let ok = sweep ~exec:(Mc.Sweep.Domains 4) (fixed_spec ~algo:floodset c31) in
   check_bool "healthy sweep has none" true
     (ok.Mc.Exhaustive.shard_failures = [])
 
@@ -833,8 +850,7 @@ let test_codec_result_roundtrip () =
   List.iter
     (fun (algo, name, n, t) ->
       let config = config ~n ~t in
-      let proposals = Sim.Runner.distinct_proposals config in
-      let r = Mc.Exhaustive.sweep_incremental ~algo ~config ~proposals () in
+      let r = sweep (fixed_spec ~algo config) in
       match Mc.Codec.result_of_json (Mc.Codec.result_to_json r) with
       | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
       | Ok r' ->
@@ -847,64 +863,25 @@ let test_codec_result_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint: versioned snapshots and their pinned failure modes       *)
 
-let with_temp_file f =
-  let path = Filename.temp_file "ipi-test-mc" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "ipi-test-mc" ".dir" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun name ->
-          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-let mk_spec ?(faults = Sim.Model.Crash_only) ?omit_budget
-    ?(reduce = Mc.Distrib.Rdedup) ?(binary = false) ?table_cap ?spill_dir
-    ~algo config =
-  {
-    Mc.Distrib.faults;
-    omit_budget;
-    policy = Mc.Serial.Prefixes;
-    horizon = None;
-    algo;
-    config;
-    reduce;
-    scope =
-      (if binary then Mc.Distrib.Binary
-       else Mc.Distrib.Fixed (Sim.Runner.distinct_proposals config));
-    table_cap;
-    spill_dir;
-  }
-
-let run_ok name = function
-  | Ok r -> r
-  | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
-
 let entry_equal (a : Mc.Checkpoint.entry) (b : Mc.Checkpoint.entry) =
   a.task = b.task && a.edges = b.edges && a.stats = b.stats
   && Mc.Codec.result_equal a.result b.result
 
+let dedup_spec ?faults ?omit_budget ?table_cap ?spill_dir config =
+  fixed_spec ?faults ?omit_budget ?table_cap ?spill_dir
+    ~reduce:Mc.Sweep.Dedup ~algo:floodset config
+
 let test_checkpoint_roundtrip () =
   with_temp_file @@ fun path ->
   let params = Obs.Json.Obj [ ("test", Obs.Json.String "ckpt-roundtrip") ] in
-  let full =
-    run_ok "serial" (Mc.Distrib.run_serial ~params (mk_spec ~algo:floodset c41))
-  in
-  check_bool "fixture produced entries" true (full.Mc.Distrib.completed <> []);
+  let full = sweep_outcome (dedup_spec c41) in
+  check_bool "fixture produced entries" true (full.completed <> []);
   let t =
     {
       Mc.Checkpoint.commit = "deadbeef";
       params;
-      total_tasks = full.Mc.Distrib.total_tasks;
-      completed = full.Mc.Distrib.completed;
+      total_tasks = full.total_tasks;
+      completed = full.completed;
     }
   in
   Mc.Checkpoint.save ~path t;
@@ -949,15 +926,13 @@ let test_checkpoint_load_errors () =
   check_bool "JSON without the format marker is Malformed" true (is_malformed e);
   (* a half-written file: valid snapshot cut mid-byte *)
   let params = Obs.Json.Obj [ ("test", Obs.Json.String "ckpt-errors") ] in
-  let full =
-    run_ok "serial" (Mc.Distrib.run_serial ~params (mk_spec ~algo:floodset c31))
-  in
+  let full = sweep_outcome (dedup_spec c31) in
   let snapshot =
     {
       Mc.Checkpoint.commit = "c";
       params;
-      total_tasks = full.Mc.Distrib.total_tasks;
-      completed = full.Mc.Distrib.completed;
+      total_tasks = full.total_tasks;
+      completed = full.completed;
     }
   in
   Mc.Checkpoint.save ~path snapshot;
@@ -983,7 +958,7 @@ let test_checkpoint_load_errors () =
        Mc.Checkpoint.version)
     msg;
   (* hand-edited task lists are refused rather than merged *)
-  let entry = List.hd full.Mc.Distrib.completed in
+  let entry = List.hd full.completed in
   let forged completed total =
     Obs.Artifact.write_string path
       (Obs.Json.to_string
@@ -1015,176 +990,133 @@ let test_checkpoint_load_errors () =
 (* Crash-safe drivers: checkpoint, interrupt, resume — bit-identical    *)
 
 (* Interrupt after four tasks (deterministically, via the should_stop
-   poll), checkpoint every task, reload, resume, and demand the resumed
-   aggregates equal an undisturbed run on every field. *)
+   poll), checkpoint every task, reload, resume under each in-process
+   executor, and demand the resumed aggregates equal an undisturbed run
+   on every field. *)
 let serial_resume_cycle name spec =
   with_temp_file @@ fun path ->
-  let params = Obs.Json.Obj [ ("test", Obs.Json.String name) ] in
-  let full = run_ok name (Mc.Distrib.run_serial ~params spec) in
-  check_bool (name ^ ": undisturbed run completes") false full.Mc.Distrib.partial;
+  let full = sweep_outcome spec in
+  check_bool (name ^ ": undisturbed run completes") false full.partial;
   check_bool
     (name ^ ": fixture has enough tasks to interrupt")
-    true
-    (full.Mc.Distrib.total_tasks > 5);
+    true (full.total_tasks > 5);
   let polls = ref 0 in
   let should_stop () =
     incr polls;
     !polls > 4
   in
-  let part =
-    run_ok name
-      (Mc.Distrib.run_serial ~checkpoint:(path, 1) ~should_stop ~params spec)
-  in
-  check_bool (name ^ ": interrupted run reports PARTIAL") true
-    part.Mc.Distrib.partial;
+  let part = sweep_outcome ~checkpoint:(path, 1) ~should_stop spec in
+  check_bool (name ^ ": interrupted run reports PARTIAL") true part.partial;
   check_int (name ^ ": exactly four tasks persisted") 4
-    (List.length part.Mc.Distrib.completed);
-  let ck =
-    match Mc.Checkpoint.load ~path with
-    | Ok ck -> ck
-    | Error e ->
-        Alcotest.fail
-          (Format.asprintf "%s: %a" name Mc.Checkpoint.pp_load_error e)
-  in
+    (List.length part.completed);
+  let ck = load_checkpoint path in
   check_int (name ^ ": checkpoint holds the persisted tasks") 4
     (List.length ck.Mc.Checkpoint.completed);
-  let resumed = run_ok name (Mc.Distrib.run_serial ~resume:ck ~params spec) in
-  check_bool (name ^ ": resumed run completes") false resumed.Mc.Distrib.partial;
-  check_bool
-    (name ^ ": aggregates bit-identical after resume")
-    true
-    (result_equal full.Mc.Distrib.result resumed.Mc.Distrib.result);
-  check_bool (name ^ ": reduction stats identical") true
-    (full.Mc.Distrib.stats = resumed.Mc.Distrib.stats);
-  check_int (name ^ ": edge counts identical") full.Mc.Distrib.edges
-    resumed.Mc.Distrib.edges
+  List.iter
+    (fun jobs ->
+      let tag = Printf.sprintf "%s jobs=%d" name jobs in
+      let resumed =
+        sweep_outcome ~resume:ck ~exec:(Mc.Sweep.Domains jobs) spec
+      in
+      check_bool (tag ^ ": resumed run completes") false resumed.partial;
+      check_bool
+        (tag ^ ": aggregates bit-identical after resume")
+        true
+        (result_equal full.result resumed.result);
+      check_bool (tag ^ ": reduction stats identical") true
+        (full.stats = resumed.stats);
+      check_int (tag ^ ": edge counts identical") full.edges resumed.edges)
+    [ 1; 2 ]
 
 let test_serial_resume_crash_dedup () =
-  serial_resume_cycle "crash/dedup" (mk_spec ~algo:floodset c41)
+  serial_resume_cycle "crash/dedup" (dedup_spec c41)
 
 let test_serial_resume_crash_unreduced () =
-  serial_resume_cycle "crash/unreduced"
-    (mk_spec ~reduce:Mc.Distrib.Rnone ~algo:floodset c41)
+  serial_resume_cycle "crash/unreduced" (fixed_spec ~algo:floodset c41)
 
 let test_serial_resume_mixed_faults () =
   serial_resume_cycle "mixed/dedup"
-    (mk_spec ~faults:Sim.Model.Mixed ~omit_budget:1 ~algo:floodset c31)
+    (dedup_spec ~faults:Sim.Model.Mixed ~omit_budget:1 c31)
 
 let test_serial_resume_binary_scope () =
-  serial_resume_cycle "binary/dedup" (mk_spec ~binary:true ~algo:floodset c41)
+  serial_resume_cycle "binary/dedup"
+    (binary_spec ~reduce:Mc.Sweep.Dedup ~algo:floodset c41);
+  (* n = 5: six orbit tasks, enough to interrupt after four *)
+  serial_resume_cycle "binary/dedup+sym"
+    (binary_spec ~reduce:Mc.Sweep.Dedup_sym ~algo:floodset c52)
 
 (* The --budget expiry path: a deadline already in the past stops the
    sweep before any task runs, still flushes a (resumable) checkpoint. *)
 let test_serial_deadline_checkpoint_resume () =
   with_temp_file @@ fun path ->
-  let params = Obs.Json.Obj [ ("test", Obs.Json.String "deadline") ] in
-  let spec = mk_spec ~algo:floodset c41 in
-  let full = run_ok "deadline" (Mc.Distrib.run_serial ~params spec) in
+  let spec = dedup_spec c41 in
+  let full = sweep_outcome spec in
   let part =
-    run_ok "deadline"
-      (Mc.Distrib.run_serial ~checkpoint:(path, 1)
-         ~deadline:(Unix.gettimeofday () -. 1.)
-         ~params spec)
+    sweep_outcome ~checkpoint:(path, 1)
+      ~deadline:(Unix.gettimeofday () -. 1.)
+      spec
   in
-  check_bool "expired budget reports PARTIAL" true part.Mc.Distrib.partial;
-  check_int "nothing ran, nothing persisted" 0
-    (List.length part.Mc.Distrib.completed);
-  let ck =
-    match Mc.Checkpoint.load ~path with
-    | Ok ck -> ck
-    | Error e ->
-        Alcotest.fail (Format.asprintf "%a" Mc.Checkpoint.pp_load_error e)
-  in
-  let resumed = run_ok "deadline" (Mc.Distrib.run_serial ~resume:ck ~params spec) in
+  check_bool "expired budget reports PARTIAL" true part.partial;
+  check_int "nothing ran, nothing persisted" 0 (List.length part.completed);
+  let resumed = sweep_outcome ~resume:(load_checkpoint path) spec in
   check_bool "resume from an empty checkpoint is the full sweep" true
-    (result_equal full.Mc.Distrib.result resumed.Mc.Distrib.result)
+    (result_equal full.result resumed.result)
 
 (* A checkpoint can never silently seed a different sweep. *)
 let test_resume_validation_errors () =
-  let params = Obs.Json.Obj [ ("test", Obs.Json.String "resume-validate") ] in
-  let spec = mk_spec ~algo:floodset c31 in
-  let full = run_ok "validate" (Mc.Distrib.run_serial ~params spec) in
-  let ck params total_tasks =
-    { Mc.Checkpoint.commit = "c"; params; total_tasks; completed = [] }
+  let spec = dedup_spec c31 in
+  let params = Mc.Sweep.params spec in
+  let total = Mc.Sweep.total_tasks spec in
+  let resume params total_tasks =
+    Mc.Sweep.run
+      ~resume:{ Mc.Checkpoint.commit = "c"; params; total_tasks; completed = [] }
+      spec (Mc.Sweep.Domains 1)
   in
-  (match
-     Mc.Distrib.run_serial
-       ~resume:
-         (ck
-            (Obs.Json.Obj [ ("test", Obs.Json.String "another sweep") ])
-            full.Mc.Distrib.total_tasks)
-       ~params spec
-   with
+  (match resume (Mc.Sweep.params (dedup_spec c41)) total with
   | Ok _ -> Alcotest.fail "foreign params must be refused"
   | Error msg ->
       check_bool "params mismatch is named" true (contains msg "parameter mismatch"));
-  match
-    Mc.Distrib.run_serial
-      ~resume:(ck params (full.Mc.Distrib.total_tasks + 1))
-      ~params spec
-  with
+  match resume params (total + 1) with
   | Ok _ -> Alcotest.fail "wrong task count must be refused"
   | Error msg ->
       check_bool "task count mismatch is named" true
         (contains msg "task count mismatch")
 
-(* The checkpointed serial driver is the classic incremental sweeps in a
-   new harness: with no interruption it must be bit-identical to them. *)
+(* The driver against the classic per-leaf sweeps, and against the
+   binary entry points the repository benchmark times: with no
+   interruption they must agree bit for bit, stats included. *)
 let test_distrib_serial_matches_classic_drivers () =
-  let params = Obs.Json.Obj [ ("test", Obs.Json.String "distrib-eq") ] in
   let config = c41 in
   let proposals = Sim.Runner.distinct_proposals config in
-  let horizon = Config.t config + 2 in
-  let classic =
-    Mc.Exhaustive.sweep_incremental ~horizon ~algo:floodset ~config ~proposals
-      ()
+  let classic = Mc.Exhaustive.sweep ~algo:floodset ~config ~proposals () in
+  check_bool "fixed/unreduced == per-leaf sweep" true
+    (result_equal classic (sweep (fixed_spec ~algo:floodset config)));
+  check_bool "fixed/dedup == per-leaf sweep" true
+    (result_equal classic (sweep (dedup_spec config)));
+  let classic_bin = Mc.Exhaustive.sweep_binary ~algo:floodset ~config () in
+  let none = sweep_outcome (binary_spec ~algo:floodset config) in
+  check_bool "binary/unreduced == per-leaf binary sweep" true
+    (result_equal classic_bin none.result);
+  check_bool "sweep_binary_incremental == binary/unreduced" true
+    (Mc.Exhaustive.sweep_binary_incremental ~algo:floodset ~config ()
+    = none.result);
+  let dedup =
+    sweep_outcome (binary_spec ~reduce:Mc.Sweep.Dedup ~algo:floodset config)
   in
-  let d =
-    run_ok "fixed/unreduced"
-      (Mc.Distrib.run_serial ~params
-         (mk_spec ~reduce:Mc.Distrib.Rnone ~algo:floodset config))
-  in
-  check_bool "fixed/unreduced == incremental sweep" true
-    (result_equal classic d.Mc.Distrib.result);
-  let dedup_classic, dedup_stats =
-    Mc.Dedup.sweep ~horizon ~algo:floodset ~config ~proposals ()
-  in
-  let dd =
-    run_ok "fixed/dedup"
-      (Mc.Distrib.run_serial ~params (mk_spec ~algo:floodset config))
-  in
-  check_bool "fixed/dedup == dedup sweep" true
-    (result_equal dedup_classic dd.Mc.Distrib.result);
-  check_bool "fixed/dedup stats match" true
-    (dd.Mc.Distrib.stats = Some dedup_stats);
-  let classic_bin =
-    Mc.Exhaustive.sweep_binary_incremental ~horizon ~algo:floodset ~config ()
-  in
-  let db =
-    run_ok "binary/unreduced"
-      (Mc.Distrib.run_serial ~params
-         (mk_spec ~reduce:Mc.Distrib.Rnone ~binary:true ~algo:floodset config))
-  in
-  check_bool "binary/unreduced == binary incremental sweep" true
-    (result_equal classic_bin db.Mc.Distrib.result)
+  let r, stats = Mc.Dedup.sweep_binary ~algo:floodset ~config () in
+  check_bool "Dedup.sweep_binary == binary/dedup, stats included" true
+    (r = dedup.result && Some stats = dedup.stats)
 
 (* Out-of-core dedup: capping the table and spilling to disk must change
    memory behaviour only — same aggregates, same lookup profile, and
    every key accounted for either in memory or on disk. *)
 let test_spill_equivalence () =
   with_temp_dir @@ fun dir ->
-  let params = Obs.Json.Obj [ ("test", Obs.Json.String "spill") ] in
-  let full =
-    run_ok "uncapped" (Mc.Distrib.run_serial ~params (mk_spec ~algo:floodset c52))
-  in
-  let spilled =
-    run_ok "spilling"
-      (Mc.Distrib.run_serial ~params
-         (mk_spec ~table_cap:16 ~spill_dir:dir ~algo:floodset c52))
-  in
+  let full = sweep_outcome (dedup_spec c52) in
+  let spilled = sweep_outcome (dedup_spec ~table_cap:16 ~spill_dir:dir c52) in
   check_bool "spilling sweep is bit-identical" true
-    (result_equal full.Mc.Distrib.result spilled.Mc.Distrib.result);
-  (match (full.Mc.Distrib.stats, spilled.Mc.Distrib.stats) with
+    (result_equal full.result spilled.result);
+  (match (full.stats, spilled.stats) with
   | Some a, Some b ->
       check_bool "cap actually forced spilling" true (b.Mc.Dedup.spilled > 0);
       check_int "resident + spilled = uncapped entries" a.Mc.Dedup.entries
@@ -1195,12 +1127,9 @@ let test_spill_equivalence () =
   | _ -> Alcotest.fail "dedup sweeps must report stats");
   (* no spill_dir: overflow entries are dropped, which may cost repeat
      work but never changes the answer *)
-  let dropped =
-    run_ok "dropping"
-      (Mc.Distrib.run_serial ~params (mk_spec ~table_cap:16 ~algo:floodset c52))
-  in
+  let dropped = sweep_outcome (dedup_spec ~table_cap:16 c52) in
   check_bool "dropping sweep is bit-identical" true
-    (result_equal full.Mc.Distrib.result dropped.Mc.Distrib.result)
+    (result_equal full.result dropped.result)
 
 let () =
   Alcotest.run "mc"

@@ -584,27 +584,29 @@ let test_chrome_of_spans_shape () =
 
 let test_instrumented_sweep_results_unchanged () =
   let cfg = config ~n:3 ~t:1 in
-  let plain = Mc.Dedup.sweep_binary ~algo:at2 ~config:cfg () in
-  let instruments () =
-    ( Obs.Prof.acc (),
-      Obs.Span.recorder (),
-      Obs.Progress.create ~label:"t" ~emit:ignore () )
-  in
-  let prof, spans, progress = instruments () in
-  let serial =
-    Mc.Dedup.sweep_binary ~prof ~spans ~progress ~algo:at2 ~config:cfg ()
-  in
-  check_bool "serial dedup: instruments leave result and stats alone" true
-    (plain = serial);
-  check_bool "prof saw the distinct work" true (Obs.Prof.intervals prof > 0);
-  check_bool "spans recorded" true (Obs.Span.records spans <> []);
-  let prof, spans, progress = instruments () in
-  let par =
-    Mc.Parallel.sweep_binary_dedup ~prof ~spans ~progress ~jobs:2 ~algo:at2
-      ~config:cfg ()
-  in
-  check_bool "parallel dedup agrees with serial on every field" true
-    (plain = par)
+  let spec = binary_spec ~reduce:Mc.Sweep.Dedup ~algo:at2 cfg in
+  let plain = sweep_outcome spec in
+  let r, stats = Mc.Dedup.sweep_binary ~algo:at2 ~config:cfg () in
+  check_bool "uninstrumented entry point agrees" true
+    (r = plain.result && Some stats = plain.stats);
+  List.iter
+    (fun jobs ->
+      let tag = Printf.sprintf "jobs=%d" jobs in
+      let prof = Obs.Prof.acc () and spans = Obs.Span.recorder () in
+      let metrics = Obs.Metrics.create () in
+      let o =
+        sweep_outcome ~metrics ~prof ~spans
+          ~progress:(Obs.Progress.create ~label:"t" ~emit:ignore ())
+          ~exec:(Mc.Sweep.Domains jobs) spec
+      in
+      check_bool (tag ^ ": instruments leave result and stats alone") true
+        (o.result = plain.result && o.stats = plain.stats);
+      check_bool (tag ^ ": prof saw the distinct work") true
+        (Obs.Prof.intervals prof > 0);
+      check_bool (tag ^ ": spans recorded") true (Obs.Span.records spans <> []);
+      check_bool (tag ^ ": metrics reported once") true
+        (Obs.Metrics.find_counter metrics "mc.runs" = Some plain.result.runs))
+    [ 1; 2 ]
 
 let test_par_report () =
   let got = ref None in
@@ -624,25 +626,6 @@ let test_par_report () =
 
 (* ------------------------------------------------------------------ *)
 (* Wire: length-prefixed JSON framing for the worker pipe protocol      *)
-
-let with_temp_file f =
-  let path = Filename.temp_file "ipi-test-obs" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "ipi-test-obs" ".dir" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun name ->
-          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
 
 let wire_frames =
   [

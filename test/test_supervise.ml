@@ -179,22 +179,9 @@ let ipi_exe =
     (Filename.concat "bin" "ipi.exe")
 
 let result_equal = Mc.Codec.result_equal
+let floodset_algo = Expt.Registry.floodset.Expt.Registry.algo
 
-let e2e_spec config =
-  {
-    Mc.Distrib.faults = Sim.Model.Crash_only;
-    omit_budget = None;
-    policy = Mc.Serial.Prefixes;
-    horizon = None;
-    algo = Expt.Registry.floodset.Expt.Registry.algo;
-    config;
-    reduce = Mc.Distrib.Rdedup;
-    scope = Mc.Distrib.Fixed (Sim.Runner.distinct_proposals config);
-    table_cap = None;
-    spill_dir = None;
-  }
-
-let e2e_worker_argv config =
+let e2e_worker_argv ?(reduce = "dedup") ?(binary = false) config =
   [
     ipi_exe;
     "sweep-worker";
@@ -209,83 +196,200 @@ let e2e_worker_argv config =
     "--policy";
     "prefixes";
     "--reduce";
-    "dedup";
+    reduce;
   ]
+  @ if binary then [ "--binary" ] else []
 
-let run_ok name = function
-  | Ok r -> r
-  | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
+let workers ?chaos_seed argv =
+  Mc.Sweep.Workers
+    {
+      workers = 2;
+      argv;
+      chaos =
+        Option.map
+          (fun seed -> Mc.Supervise.default_chaos Mc.Supervise.Kill ~seed)
+          chaos_seed;
+      chunk_timeout = None;
+    }
 
 let test_sweep_worker_end_to_end () =
   let cfg = config ~n:5 ~t:2 in
-  let spec = e2e_spec cfg in
-  let worker_argv = e2e_worker_argv cfg in
-  let params = J.Obj [ ("test", J.String "supervise-e2e") ] in
-  let serial = run_ok "serial" (Mc.Distrib.run_serial ~params spec) in
+  let spec = fixed_spec ~reduce:Mc.Sweep.Dedup ~algo:floodset_algo cfg in
+  let argv = e2e_worker_argv cfg in
+  let serial = sweep_outcome spec in
   (* 1. chaos-ridden supervised sweep, straight through *)
-  let sup =
-    run_ok "supervised"
-      (Mc.Distrib.run_supervised ~workers:2
-         ~chaos:(Mc.Supervise.default_chaos Mc.Supervise.Kill ~seed:11)
-         ~worker_argv ~params spec)
-  in
-  check_bool "supervised run completes" false sup.Mc.Distrib.partial;
+  let sup = sweep_outcome ~exec:(workers ~chaos_seed:11 argv) spec in
+  check_bool "supervised run completes" false sup.partial;
   check_bool "chaos-ridden 2-worker sweep is bit-identical to serial" true
-    (result_equal serial.Mc.Distrib.result sup.Mc.Distrib.result);
+    (result_equal serial.result sup.result);
   check_bool "reduction stats identical across the process boundary" true
-    (serial.Mc.Distrib.stats = sup.Mc.Distrib.stats);
-  check_int "edge counts identical" serial.Mc.Distrib.edges
-    sup.Mc.Distrib.edges;
-  check_bool "supervisor metrics are reported" true
-    (sup.Mc.Distrib.sup_metrics <> None);
+    (serial.stats = sup.stats);
+  check_int "edge counts identical" serial.edges sup.edges;
+  check_bool "supervisor metrics are reported" true (sup.supervisor <> None);
   (* 2. interrupt a serial sweep deterministically, then finish the job
      under supervision, with chaos, from its checkpoint *)
-  let path = Filename.temp_file "ipi-test-supervise" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
+  with_temp_file @@ fun path ->
   let polls = ref 0 in
   let part =
-    run_ok "interrupted"
-      (Mc.Distrib.run_serial ~checkpoint:(path, 1)
-         ~should_stop:(fun () ->
-           incr polls;
-           !polls > 6)
-         ~params spec)
+    sweep_outcome ~checkpoint:(path, 1)
+      ~should_stop:(fun () ->
+        incr polls;
+        !polls > 6)
+      spec
   in
-  check_bool "interrupted run reports PARTIAL" true part.Mc.Distrib.partial;
+  check_bool "interrupted run reports PARTIAL" true part.partial;
   check_int "six tasks persisted before the interrupt" 6
-    (List.length part.Mc.Distrib.completed);
-  let ck =
-    match Mc.Checkpoint.load ~path with
-    | Ok ck -> ck
-    | Error e ->
-        Alcotest.fail (Format.asprintf "%a" Mc.Checkpoint.pp_load_error e)
-  in
+    (List.length part.completed);
   let resumed =
-    run_ok "resumed"
-      (Mc.Distrib.run_supervised ~resume:ck ~workers:2
-         ~chaos:(Mc.Supervise.default_chaos Mc.Supervise.Kill ~seed:5)
-         ~worker_argv ~params spec)
+    sweep_outcome ~resume:(load_checkpoint path)
+      ~exec:(workers ~chaos_seed:5 argv) spec
   in
-  check_bool "resumed supervised run completes" false resumed.Mc.Distrib.partial;
+  check_bool "resumed supervised run completes" false resumed.partial;
   check_bool "interrupt + chaos resume is bit-identical to serial" true
-    (result_equal serial.Mc.Distrib.result resumed.Mc.Distrib.result);
+    (result_equal serial.result resumed.result);
   check_bool "stats identical after the full cycle" true
-    (serial.Mc.Distrib.stats = resumed.Mc.Distrib.stats)
+    (serial.stats = resumed.stats);
+  (* 3. dedup+sym across workers, checkpointed: one task per orbit *)
+  let sym = binary_spec ~reduce:Mc.Sweep.Dedup_sym ~algo:floodset_algo cfg in
+  let sym_serial = sweep_outcome sym in
+  let sym_workers =
+    sweep_outcome ~checkpoint:(path, 1)
+      ~exec:
+        (workers (e2e_worker_argv ~reduce:"dedup+sym" ~binary:true cfg))
+      sym
+  in
+  check_int "one task per orbit" 6 sym_workers.total_tasks;
+  check_bool "dedup+sym across workers is bit-identical to serial" true
+    (result_equal sym_serial.result sym_workers.result
+    && sym_serial.stats = sym_workers.stats)
 
 let test_supervised_immediate_stop () =
   let cfg = config ~n:5 ~t:2 in
-  let spec = e2e_spec cfg in
-  let params = J.Obj [ ("test", J.String "supervise-stop") ] in
   let stopped =
-    run_ok "stopped"
-      (Mc.Distrib.run_supervised
-         ~should_stop:(fun () -> true)
-         ~workers:2 ~worker_argv:(e2e_worker_argv cfg) ~params spec)
+    sweep_outcome
+      ~should_stop:(fun () -> true)
+      ~exec:(workers (e2e_worker_argv cfg))
+      (fixed_spec ~reduce:Mc.Sweep.Dedup ~algo:floodset_algo cfg)
   in
-  check_bool "immediate stop reports PARTIAL" true stopped.Mc.Distrib.partial;
-  check_int "nothing completed" 0 (List.length stopped.Mc.Distrib.completed)
+  check_bool "immediate stop reports PARTIAL" true stopped.partial;
+  check_int "nothing completed" 0 (List.length stopped.completed)
+
+(* A task that raises outside the engine is answered with a failure frame,
+   not a dead worker: the supervisor then reports the same shard failure
+   an in-process run does. *)
+let test_worker_contains_task_failures () =
+  let spec =
+    fixed_spec ~horizon:2 ~algo:Fuzz.Faulty.raising_init (config ~n:3 ~t:1)
+  in
+  with_temp_file @@ fun input ->
+  with_temp_file @@ fun output ->
+  Out_channel.with_open_bin input (fun oc ->
+      Obs.Wire.write oc (J.Obj [ ("task", J.Int 0) ]);
+      Obs.Wire.write oc (J.Obj [ ("shutdown", J.Bool true) ]));
+  In_channel.with_open_bin input (fun ic ->
+      Out_channel.with_open_bin output (fun oc ->
+          Mc.Sweep.worker_loop spec ic oc));
+  let frame =
+    In_channel.with_open_bin output (fun ic ->
+        match Obs.Wire.read ic with
+        | Ok j -> j
+        | Error e -> Alcotest.fail (Format.asprintf "%a" Obs.Wire.pp_error e))
+  in
+  let in_process = List.hd (sweep_outcome spec).result.shard_failures in
+  check_bool "failure frame carries the task" true
+    (J.member "task" frame = Some (J.Int 0));
+  check_bool "and the in-process message" true
+    (J.member "failure" frame = Some (J.String in_process.message))
+
+(* The real CLI: --jobs, --checkpoint, --metrics and --trace compose. *)
+let ipi_stdout args =
+  let ic = Unix.open_process_args_in ipi_exe (Array.of_list (ipi_exe :: args)) in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> Alcotest.fail ("ipi " ^ String.concat " " args ^ " failed")
+
+let test_cli_flags_compose () =
+  let shape =
+    [ "sweep"; "-a"; "FloodSet"; "-n"; "4"; "-t"; "2"; "--binary";
+      "--reduce"; "dedup" ]
+  in
+  let block out =
+    List.filter
+      (fun l ->
+        contains l " run(s)"
+        || String.starts_with ~prefix:"reduction:" l
+        || String.starts_with ~prefix:"worst run:" l)
+      (String.split_on_char '\n' out)
+  in
+  with_temp_file @@ fun ckpt ->
+  with_temp_file @@ fun trace ->
+  let serial = ipi_stdout shape in
+  let composed =
+    ipi_stdout
+      (shape
+      @ [ "--jobs"; "2"; "--checkpoint"; ckpt; "--metrics"; "--trace"; trace ]
+      )
+  in
+  check_bool "result block equals the serial sweep" true
+    (block serial = block composed && List.length (block serial) = 3);
+  check_bool "metrics block printed" true (contains composed "mc.runs");
+  check_bool "trace parses as JSON" true
+    (Result.is_ok
+       (Obs.Json.of_string (In_channel.with_open_bin trace In_channel.input_all)));
+  check_bool "checkpoint written" true (Result.is_ok (Mc.Checkpoint.load ~path:ckpt))
+
+(* Exit code of an ipi invocation started with [args], output discarded;
+   [signal] runs on the child's pid before it is reaped. *)
+let ipi_exit ?(signal = fun _ -> ()) args =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        Unix.create_process ipi_exe
+          (Array.of_list (ipi_exe :: args))
+          Unix.stdin null null)
+  in
+  signal pid;
+  match snd (Unix.waitpid [] pid) with
+  | Unix.WEXITED c -> c
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+
+(* A flag that cannot take effect is refused, never dropped. *)
+let test_cli_refuses_inert_flags () =
+  let shape = [ "sweep"; "-a"; "FloodSet"; "-n"; "4"; "-t"; "1" ] in
+  check_int "--jobs with --workers" 2
+    (ipi_exit (shape @ [ "--workers"; "2"; "--jobs"; "2" ]));
+  check_int "--chaos without --workers" 2
+    (ipi_exit (shape @ [ "--chaos"; "kill" ]))
+
+(* SIGTERM once the first checkpoint is on disk: the in-process sweep on
+   two domains stops, flushes a final snapshot and exits 3 (PARTIAL). *)
+let test_cli_sigterm_flushes_checkpoint () =
+  with_temp_file @@ fun ckpt ->
+  let written () = (Unix.stat ckpt).Unix.st_size > 0 in
+  let rec await k =
+    if k > 0 && not (written ()) then begin
+      Unix.sleepf 0.01;
+      await (k - 1)
+    end
+  in
+  let code =
+    ipi_exit
+      ~signal:(fun pid ->
+        await 3000;
+        Unix.kill pid Sys.sigterm)
+      [ "sweep"; "-a"; "FloodSet"; "-n"; "7"; "-t"; "3"; "--binary";
+        "--reduce"; "dedup"; "--jobs"; "2"; "--checkpoint"; ckpt;
+        "--checkpoint-every"; "1" ]
+  in
+  check_int "exit 3 (PARTIAL)" 3 code;
+  match Mc.Checkpoint.load ~path:ckpt with
+  | Error _ -> Alcotest.fail "checkpoint does not load"
+  | Ok ck ->
+      check_bool "some but not all shards" true
+        (ck.completed <> [] && List.length ck.completed < ck.total_tasks)
 
 let () =
   Alcotest.run "supervise"
@@ -311,5 +415,12 @@ let () =
             test_sweep_worker_end_to_end;
           Alcotest.test_case "immediate stop" `Quick
             test_supervised_immediate_stop;
+          Alcotest.test_case "worker contains task failures" `Quick
+            test_worker_contains_task_failures;
+          Alcotest.test_case "cli flags compose" `Quick test_cli_flags_compose;
+          Alcotest.test_case "cli refuses inert flags" `Quick
+            test_cli_refuses_inert_flags;
+          Alcotest.test_case "cli SIGTERM flushes checkpoint" `Quick
+            test_cli_sigterm_flushes_checkpoint;
         ] );
     ]
