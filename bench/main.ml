@@ -1103,7 +1103,7 @@ let scaling_smoke_rows () =
   scaling_rows_named ~smoke:true ~prefix:"scaling-smoke" ()
 
 (* ------------------------------------------------------------------ *)
-(* The mc-alloc suite: checker-core allocation per DFS round            *)
+(* The mc-alloc suite: checker allocation per DFS round and per run     *)
 
 (* DESIGN §16's contract in one number: minor words per checker-core
    round over the *distinct* (post-dedup) work of the FloodSet n=5, t=2
@@ -1131,9 +1131,35 @@ let mc_alloc_workload () =
 
 let mc_alloc_words_budget = 16.0
 
-(* [minor_words] on this row means words per checker-core *round* over
-   distinct work (from the profiled pass), not per run — the
-   machine-independent number the arena contract bounds. *)
+(* The leaf's share, end to end: minor words per *run* of the unreduced
+   FloodSet n=6, t=2 binary sweep (354,880 runs) through [Mc.Sweep.run]
+   on one domain — menu, arena DFS, leaf verdicts and the fold, as
+   `ipi sweep --binary` pays them. Deterministic like the row above, and
+   gated as unconditionally. A leaf that built a [Trace] and ran
+   [Props.check] read 226 words/run; judged off the arena it reads
+   about 27. *)
+let mc_alloc_run_row = "mc-alloc/floodset-n6t2-binary/none"
+let mc_alloc_run_budget = 40.0
+
+let mc_alloc_words_per_run () =
+  let spec =
+    binary ~algo:Expt.Registry.floodset.Expt.Registry.algo
+      (Config.make ~n:6 ~t:2)
+  in
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let outcome = Mc.Sweep.run spec (Mc.Sweep.Domains 1) in
+  let words = Gc.minor_words () -. w0 in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  match outcome with
+  | Ok { Mc.Sweep.result = { Mc.Exhaustive.runs; _ }; _ } when runs > 0 ->
+      (Some (words /. float_of_int runs), elapsed)
+  | Ok _ | Error _ -> (None, elapsed)
+
+(* [minor_words] on the first row means words per checker-core *round*
+   over distinct work (from the profiled pass), on the second words per
+   sweep run, both not per bench iteration — the machine-independent
+   numbers the gates bound. The second row's single sweep is its one
+   timed sample. *)
 let mc_alloc_rows () =
   let w = mc_alloc_workload () in
   let runs, mean_s, min_s, stddev_s = time_workload w in
@@ -1152,34 +1178,61 @@ let mc_alloc_rows () =
       major_collections = None;
     }
   in
+  let per_run, elapsed = mc_alloc_words_per_run () in
+  let run_row =
+    {
+      row with
+      row_name = mc_alloc_run_row;
+      runs = 1;
+      mean_s = elapsed;
+      min_s = elapsed;
+      stddev_s = 0.;
+      minor_words = per_run;
+    }
+  in
+  let pp_words = function
+    | Some w -> Printf.sprintf "%.2f" w
+    | None -> "-"
+  in
   Format.printf
     "Checker-core allocation (FloodSet n=5 t=2 binary dedup sweep): %s \
      minor words/round (budget %.0f)@."
-    (match words with Some w -> Printf.sprintf "%.2f" w | None -> "-")
-    mc_alloc_words_budget;
-  [ row ]
+    (pp_words words) mc_alloc_words_budget;
+  Format.printf
+    "Sweep allocation (FloodSet n=6 t=2 binary, unreduced): %s minor \
+     words/run (budget %.0f)@."
+    (pp_words per_run) mc_alloc_run_budget;
+  [ row; run_row ]
 
-(* The checker-core allocation gate: enforced whenever its row ran,
-   regardless of BENCH_GATE, exactly like the steady-state gate. A probe
-   failure (None) also fails — a gate that cannot read its number must
-   not pass. *)
+(* The allocation gates: enforced whenever their rows ran, regardless of
+   BENCH_GATE, exactly like the steady-state gate. A probe failure (None)
+   also fails — a gate that cannot read its number must not pass. *)
+let mc_alloc_gates =
+  [
+    ("mc-alloc/floodset-n5t2-binary/dedup", mc_alloc_words_budget, "round");
+    (mc_alloc_run_row, mc_alloc_run_budget, "run");
+  ]
+
 let check_mc_alloc_gate rows =
   List.for_all
     (fun r ->
-      if r.row_name <> "mc-alloc/floodset-n5t2-binary/dedup" then true
-      else
-        match r.minor_words with
-        | Some w when w <= mc_alloc_words_budget -> true
-        | Some w ->
-            Format.eprintf
-              "mc-alloc gate: %s allocates %.1f minor words/round (budget \
-               %.0f)@."
-              r.row_name w mc_alloc_words_budget;
-            false
-        | None ->
-            Format.eprintf "mc-alloc gate: %s has no allocation probe@."
-              r.row_name;
-            false)
+      match
+        List.find_opt (fun (name, _, _) -> name = r.row_name) mc_alloc_gates
+      with
+      | None -> true
+      | Some (_, budget, per) -> (
+          match r.minor_words with
+          | Some w when w <= budget -> true
+          | Some w ->
+              Format.eprintf
+                "mc-alloc gate: %s allocates %.1f minor words/%s (budget \
+                 %.0f)@."
+                r.row_name w per budget;
+              false
+          | None ->
+              Format.eprintf "mc-alloc gate: %s has no allocation probe@."
+                r.row_name;
+              false))
     rows
 
 (* ------------------------------------------------------------------ *)

@@ -5,6 +5,16 @@ open Kernel
    decisions as they happen; past the schedule horizon the shared
    precompiled empty plan keeps the loop allocation-free. *)
 
+(* The decisions made since the arena's newest-first list had head
+   [seen] are the cells in front of it; observe them oldest first —
+   chronological and ascending by pid within the round. *)
+let rec observe_since mon ds ~seen =
+  if ds == seen then mon
+  else
+    match ds with
+    | [] -> mon
+    | d :: rest -> Monitor.observe (observe_since mon rest ~seen) d
+
 let run ?fuel ?(monitor = true) ~algo:(Sim.Algorithm.Packed (module A))
     ~config ~proposals schedule =
   let module E = Sim.Engine.Make (A) in
@@ -26,17 +36,22 @@ let run ?fuel ?(monitor = true) ~algo:(Sim.Algorithm.Packed (module A))
         && not (Pid.Set.mem p omitters))
       (Config.processes config)
   in
+  let omitb = Bitset.Big.of_pid_set omitters in
+  (* Called once every process halted, so the run is final: judged off the
+     arena, with a trace built and checked only when the verdict is
+     dirty. *)
   let completed a ~rounds =
-    let trace = E.Arena.finish ~max_rounds:fuel ~schedule a in
-    match Sim.Props.check trace with
-    | [] ->
-        Outcome.Passed
-          {
-            rounds;
-            decision_round =
-              Option.map Round.to_int (Sim.Trace.global_decision_round trace);
-          }
-    | violations -> Outcome.Violated { round = rounds; violations }
+    let passed decision_round = Outcome.Passed { rounds; decision_round } in
+    match E.Arena.judge a ~omitters:omitb with
+    | 0 -> passed None
+    | r when r > 0 -> passed (Some r)
+    | _ -> (
+        let trace = E.Arena.trace ~schedule a in
+        match Sim.Props.check trace with
+        | [] ->
+            passed
+              (Option.map Round.to_int (Sim.Trace.global_decision_round trace))
+        | violations -> Outcome.Violated { round = rounds; violations })
   in
   E.Arena.one_shot config ~proposals (fun a ->
       try
@@ -50,17 +65,16 @@ let run ?fuel ?(monitor = true) ~algo:(Sim.Algorithm.Packed (module A))
                  Sim.Schedule.compile_plan ~n
                    (Sim.Schedule.plan_at schedule (Round.of_int round))
                else Sim.Schedule.compiled_empty_plan);
-            let decisions = E.Arena.decisions a in
-            if not monitor then
-              go mon ~seen:(List.length decisions) ~round:(round + 1)
+            if not monitor then go mon ~seen ~round:(round + 1)
             else
-              let mon = Monitor.observe_all mon (Listx.drop seen decisions) in
+              let ds = E.Arena.rev_decisions a in
+              let mon = observe_since mon ds ~seen in
               match Monitor.violation mon with
               | Some v -> Outcome.Violated { round; violations = [ v ] }
-              | None -> go mon ~seen:(List.length decisions) ~round:(round + 1)
+              | None -> go mon ~seen:ds ~round:(round + 1)
           end
         in
-        go (Monitor.create ~omitters ~proposals ()) ~seen:0 ~round:1
+        go (Monitor.create ~omitters ~proposals ()) ~seen:[] ~round:1
       with Sim.Engine.Step_error e -> Outcome.Crashed e)
 
 let run_contained ?fuel ?monitor ~algo ~config ~proposals schedule =

@@ -20,9 +20,13 @@ val run :
   Outcome.t
 (** Step the schedule round by round (empty plans past its horizon) until
     every process halts, the monitor trips, or [fuel] rounds have executed
-    (default {!Sim.Engine.default_max_rounds}).
+    (default {!Sim.Engine.default_max_rounds}). After each round the
+    monitor observes only that round's new decisions, taken from the front
+    of the arena's newest-first list.
 
-    - all halted, post-hoc check clean → [Passed];
+    - all halted, post-hoc check clean → [Passed] (the verdict is read
+      off the arena by {!Sim.Engine.Make.Arena.judge}; a trace is built
+      and {!Sim.Props.check}ed only when it is dirty);
     - [monitor] (default [true]) trips → [Violated] at that round with the
       monitor's violation;
     - all halted but {!Sim.Props.check} complains (termination, or safety

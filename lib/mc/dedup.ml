@@ -245,7 +245,8 @@ let sweep_prefix ?(faults = Sim.Model.Crash_only) ?omit_budget ?deadline
   in
   (* Only table misses reach [leaf], so spans and probes record exactly the
      distinct work done — answered-from-table subtrees cost (and show)
-     nothing. *)
+     nothing. A leaf is judged off the arena; only a dirty one builds its
+     trace for [add_run]'s [Props.check]. *)
   let leaf (node : Menu.node) err =
     match err with
     | Some error -> Exhaustive.add_crashed Exhaustive.empty ~choices:[] ~error
@@ -253,10 +254,17 @@ let sweep_prefix ?(faults = Sim.Model.Crash_only) ?omit_budget ?deadline
         if Obs.Span.enabled spans then Obs.Span.enter spans "run";
         let frag =
           match
-            E.Arena.finish ~max_rounds ?prof ~schedule:node.Menu.leaf_schedule
+            E.Arena.settle ~max_rounds ?prof ~schedule:node.Menu.leaf_schedule
               arena
           with
-          | trace -> Exhaustive.add_run Exhaustive.empty ~choices:[] ~trace
+          | () ->
+              let r = E.Arena.judge arena ~omitters:node.Menu.omitb in
+              if r >= 0 then
+                Exhaustive.add_clean Exhaustive.empty ~choices:[] ~round:r
+              else
+                Exhaustive.add_run Exhaustive.empty ~choices:[]
+                  ~trace:
+                    (E.Arena.trace ~schedule:node.Menu.leaf_schedule arena)
           | exception Sim.Engine.Step_error error ->
               Exhaustive.add_crashed Exhaustive.empty ~choices:[] ~error
         in

@@ -47,6 +47,27 @@ let deadline_check = function
   | None -> fun () -> ()
   | Some d -> fun () -> if Unix.gettimeofday () > d then raise Expired
 
+let undecided vs =
+  List.exists
+    (function
+      | Sim.Props.Termination _ | Sim.Props.Unsettled _ -> true
+      | Sim.Props.Validity _ | Sim.Props.Agreement _ -> false)
+    vs
+
+let add_decided acc ~choices ~round:r =
+  let acc =
+    if r > acc.max_decision then
+      { acc with max_decision = r; max_witness = Some choices }
+    else acc
+  in
+  if r < acc.min_decision then { acc with min_decision = r } else acc
+
+let add_clean acc ~choices ~round =
+  let acc =
+    { acc with runs = acc.runs + 1; distinct_runs = acc.distinct_runs + 1 }
+  in
+  if round > 0 then add_decided acc ~choices ~round else acc
+
 let add_run acc ~choices ~trace =
   let acc =
     { acc with runs = acc.runs + 1; distinct_runs = acc.distinct_runs + 1 }
@@ -55,29 +76,15 @@ let add_run acc ~choices ~trace =
     match Sim.Props.check trace with
     | [] -> acc
     | vs ->
-        let undecided =
-          List.exists
-            (function
-              | Sim.Props.Termination _ | Sim.Props.Unsettled _ -> true
-              | Sim.Props.Validity _ | Sim.Props.Agreement _ -> false)
-            vs
-        in
         {
           acc with
           violations = (choices, vs) :: acc.violations;
-          undecided_runs = (acc.undecided_runs + if undecided then 1 else 0);
+          undecided_runs = (acc.undecided_runs + if undecided vs then 1 else 0);
         }
   in
   match Sim.Trace.global_decision_round trace with
   | None -> acc
-  | Some r ->
-      let r = Round.to_int r in
-      let acc =
-        if r > acc.max_decision then
-          { acc with max_decision = r; max_witness = Some choices }
-        else acc
-      in
-      if r < acc.min_decision then { acc with min_decision = r } else acc
+  | Some r -> add_decided acc ~choices ~round:(Round.to_int r)
 
 let add_crashed acc ~choices ~error =
   {
@@ -206,12 +213,16 @@ let sweep_binary ?faults ?omit_budget ?deadline ?policy ?metrics ?horizon
 (* ------------------------------------------------------------------ *)
 (* Prefix-sharing (incremental) sweeps                                 *)
 
-(* The sweep result never looks at [Trace.t.schedule] ([Props.check] and
-   [global_decision_round] read decisions, crashes, proposals, config and
-   the halting flag), so the incremental path hands [finish] one shared
-   empty schedule instead of materialising a [Schedule.t] per leaf. The
-   round bound must then be supplied explicitly, computed from the sweep's
-   real horizon so that it matches what [Runner.run] would use. *)
+(* A leaf's verdict reads the decisions, the crashed set, the proposals,
+   the halting flag and the omitters its adversary declared
+   ([Props.agreement_violations] and [Trace.correct] exclude them). The
+   arena holds all but the omitters, which the leaf's [Menu] node carries
+   as a bitset, so a clean leaf is judged by [Arena.judge] with no trace
+   built; only a dirty leaf packages a trace (declaring the node's
+   plan-free [leaf_schedule]) for [Props.check] to report on. No leaf
+   materialises a [Schedule.t], so the round bound is supplied
+   explicitly, computed from the sweep's real horizon so that it matches
+   what [Runner.run] would use. *)
 
 type sweeper =
   ?deadline:float ->
@@ -276,12 +287,45 @@ let sweep_prefix ?faults ?omit_budget ?(policy = Serial.Prefixes) ?horizon
   let root_node =
     Menu.node_of menu (List.fold_left Serial.advance initial prefix)
   in
-  let acc = ref empty in
+  (* Per-call tallies, folded into one [result] at the end: a clean leaf
+     bumps a counter and compares its round, so only a new worst-round
+     witness, a violation or a crashed run builds its choice list. The
+     fold is [add_run]'s, leaf by leaf. *)
+  let runs = ref 0 and undecided_runs = ref 0 in
+  let max_decision = ref 0 and min_decision = ref max_int in
+  let max_witness = ref None and violations = ref [] and crashed = ref [] in
   (* The choice path below the prefix, filled in place as the DFS
-     descends; a leaf materialises [prefix @ path] exactly once, like the
-     per-leaf list [Serial.fold] used to build. *)
+     descends; [prefix @ path] is materialised only when a leaf keeps it. *)
   let path = Array.make (max depth0 1) Serial.No_crash in
   let leaf_choices () = prefix @ Array.to_list (Array.sub path 0 depth0) in
+  let decided r choices =
+    if r > !max_decision then begin
+      max_decision := r;
+      max_witness := Some (choices ())
+    end;
+    if r < !min_decision then min_decision := r
+  in
+  let crash error =
+    incr runs;
+    crashed := { choices = leaf_choices (); error } :: !crashed
+  in
+  let judged (node : Menu.node) =
+    incr runs;
+    let r = E.Arena.judge arena ~omitters:node.Menu.omitb in
+    if r > 0 then decided r leaf_choices
+    else if r = E.Arena.dirty then begin
+      let choices = leaf_choices () in
+      let trace = E.Arena.trace ~schedule:node.Menu.leaf_schedule arena in
+      (match Sim.Props.check trace with
+      | [] -> ()
+      | vs ->
+          violations := (choices, vs) :: !violations;
+          if undecided vs then incr undecided_runs);
+      Option.iter
+        (fun r -> decided (Round.to_int r) (fun () -> choices))
+        (Sim.Trace.global_decision_round trace)
+    end
+  in
   (* Branch discipline: one snapshot per expanded node, taken before its
      first child and restored before every later sibling; the last child
      leaves the arena wherever it ran to (possibly mid-round after a
@@ -291,16 +335,15 @@ let sweep_prefix ?faults ?omit_budget ?(policy = Serial.Prefixes) ?horizon
     if depth = 0 then (
       check ();
       match err with
-      | Some error -> acc := add_crashed !acc ~choices:(leaf_choices ()) ~error
+      | Some error -> crash error
       | None ->
           if Obs.Span.enabled spans then Obs.Span.enter spans "run";
           (match
-             E.Arena.finish ~max_rounds ?prof
+             E.Arena.settle ~max_rounds ?prof
                ~schedule:node.Menu.leaf_schedule arena
            with
-          | trace -> acc := add_run !acc ~choices:(leaf_choices ()) ~trace
-          | exception Sim.Engine.Step_error error ->
-              acc := add_crashed !acc ~choices:(leaf_choices ()) ~error);
+          | () -> judged node
+          | exception Sim.Engine.Step_error error -> crash error);
           if Obs.Span.enabled spans then Obs.Span.exit spans)
     else
       let k = Array.length node.Menu.choices in
@@ -326,11 +369,27 @@ let sweep_prefix ?faults ?omit_budget ?(policy = Serial.Prefixes) ?horizon
           done;
           E.Arena.drop arena
   in
-  (try go depth0 root_node !root_err
-   with Expired ->
-     acc := { !acc with expired = true };
-     base := fresh ());
-  (!acc, !edges)
+  let expired =
+    try
+      go depth0 root_node !root_err;
+      false
+    with Expired ->
+      base := fresh ();
+      true
+  in
+  ( {
+      runs = !runs;
+      distinct_runs = !runs;
+      max_decision = !max_decision;
+      min_decision = !min_decision;
+      max_witness = !max_witness;
+      violations = !violations;
+      undecided_runs = !undecided_runs;
+      crashed = !crashed;
+      shard_failures = [];
+      expired;
+    },
+    !edges )
 
 (* The per-assignment task of a binary sweep ({!Sweep}), folded in
    assignment order over one shared menu, as a single domain of {!Sweep}

@@ -82,8 +82,15 @@ val merge : result -> result -> result
 val add_run :
   result -> choices:Serial.choice list -> trace:Sim.Trace.t -> result
 (** Fold one finished run into a result: checks {!Sim.Props}, updates the
-    decision-round extremes and counts. The per-leaf step of every sweep
-    driver, exposed for the reduction layer ({!Dedup}). *)
+    decision-round extremes and counts. The trace path: the per-leaf
+    {!sweep} oracle folds every run through it, and the arena sweeps
+    ({!sweep_prefix}, {!Dedup}) only their dirty leaves — those
+    {!Sim.Engine.Make.Arena.judge} did not pass. *)
+
+val add_clean : result -> choices:Serial.choice list -> round:int -> result
+(** [add_clean acc ~choices ~round] is [add_run acc ~choices ~trace] for a
+    [trace] that {!Sim.Props.check} passes with global decision round
+    [round] ([0]: nobody decided) — what a judged-clean leaf adds. *)
 
 val add_crashed :
   result ->
@@ -202,8 +209,13 @@ val sweep_prefix :
     spines once for all its tasks. No call's result depends on earlier
     calls.
 
+    Each leaf is played out with {!Sim.Engine.Make.Arena.settle} and
+    judged with {!Sim.Engine.Make.Arena.judge}; only a dirty leaf builds a
+    trace for {!add_run}, and a choice list is built only for a new
+    worst-round witness, a violation or a crashed run.
+
     [prof] measures every engine round the subtree executes (DFS edges
-    and {!Sim.Engine.Make.Arena.finish} tails); [spans] wraps each
+    and {!Sim.Engine.Make.Arena.settle} tails); [spans] wraps each
     simulated leaf in a ["run"] span. Like the arena and the menu, they
     must be owned by the domain that runs the subtree — GC deltas and
     span recorders are single-domain. *)

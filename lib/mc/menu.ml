@@ -20,6 +20,7 @@ type node = {
   aliveb : Bitset.Big.t;
   sendb : Bitset.Big.t;
   recvb : Bitset.Big.t;
+  omitb : Bitset.Big.t;  (* [sendb ∪ recvb], what a leaf is judged against *)
   leaf_schedule : Sim.Schedule.t;
 }
 
@@ -116,6 +117,7 @@ let node_of t adv =
           aliveb;
           sendb;
           recvb;
+          omitb = Bitset.Big.union sendb recvb;
           leaf_schedule = leaf_schedule_of t adv;
         }
       in

@@ -27,6 +27,9 @@ type node = {
   aliveb : Bitset.Big.t;  (** [adv.alive], canonical *)
   sendb : Bitset.Big.t;  (** [adv.send_omitters], canonical *)
   recvb : Bitset.Big.t;  (** [adv.recv_omitters], canonical *)
+  omitb : Bitset.Big.t;
+      (** [sendb ∪ recvb]: the omitters [leaf_schedule] declares, as
+          {!Sim.Engine.Make.Arena.judge} takes them *)
   leaf_schedule : Sim.Schedule.t;
       (** the plan-free schedule declaring this state's omitters (shared
           empty schedule when there are none) — what a run terminating in

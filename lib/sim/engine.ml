@@ -349,6 +349,7 @@ module Make (A : Algorithm.S) = struct
     type t = {
       a_config : Config.t;
       a_proposals : Value.t Pid.Map.t;
+      a_proposed : Value.t array;  (* [a_proposals]' values, for [judge] *)
       a_n : int;
       a_status : Bytes.t;  (* process [p] at byte [p - 1] *)
       a_states : A.state array;
@@ -389,6 +390,7 @@ module Make (A : Algorithm.S) = struct
       {
         a_config = config;
         a_proposals = proposals;
+        a_proposed = Array.of_list (List.map snd (Pid.Map.bindings proposals));
         a_n = n;
         a_status = Bytes.make n st_running;
         a_states = states;
@@ -418,6 +420,7 @@ module Make (A : Algorithm.S) = struct
     let next_round t = Round.of_int t.a_next
     let all_halted t = t.a_live = 0
     let decisions t = List.rev t.a_decisions
+    let rev_decisions t = t.a_decisions
     let snapshots t = t.a_snapshots
     let restores t = t.a_restores
 
@@ -793,7 +796,7 @@ module Make (A : Algorithm.S) = struct
         records = [];
       }
 
-    let finish ?max_rounds ?prof ~schedule t =
+    let settle ?max_rounds ?prof ~schedule t =
       let max_rounds =
         Option.value max_rounds
           ~default:(default_max_rounds t.a_config schedule)
@@ -809,7 +812,7 @@ module Make (A : Algorithm.S) = struct
                (Schedule.plan_at schedule (Round.of_int t.a_next)))
         else step t Schedule.compiled_empty_plan
       in
-      (match prof with
+      match prof with
       | None ->
           while t.a_live > 0 && t.a_next <= max_rounds do
             step_once ()
@@ -817,8 +820,54 @@ module Make (A : Algorithm.S) = struct
       | Some a ->
           while t.a_live > 0 && t.a_next <= max_rounds do
             Obs.Prof.measure a step_once
-          done);
+          done
+
+    let finish ?max_rounds ?prof ~schedule t =
+      settle ?max_rounds ?prof ~schedule t;
       trace ~schedule t
+
+    (* [Props.check] on the finished trace, read off the slabs. Validity:
+       every decided value was proposed. Agreement: the decisions of
+       non-omitters all carry one value (equal to the chronologically
+       first one iff equal to each other). Termination: every correct
+       process (neither crashed nor an omitter) decided — each process
+       decides at most once, so counting correct deciders suffices. The
+       scan is tail-recursive over the newest-first list and allocates
+       nothing. *)
+    let dirty = -1
+
+    let rec proposed vs v i =
+      i < Array.length vs && (Value.equal vs.(i) v || proposed vs v (i + 1))
+
+    let rec scan t omitters ds ~anchored anchor ~deciders ~last =
+      match ds with
+      | [] ->
+          let correct = ref 0 in
+          for i = 0 to t.a_n - 1 do
+            if
+              Bytes.get t.a_status i <> st_crashed
+              && not (Bitset.Big.mem (i + 1) omitters)
+            then incr correct
+          done;
+          if deciders = !correct then last else dirty
+      | (d : Trace.decision) :: rest ->
+          if not (proposed t.a_proposed d.value 0) then dirty
+          else
+            let p = Pid.to_int d.pid in
+            let last = Int.max last (Round.to_int d.round) in
+            if Bitset.Big.mem p omitters then
+              scan t omitters rest ~anchored anchor ~deciders ~last
+            else if anchored && not (Value.equal anchor d.value) then dirty
+            else
+              let deciders =
+                if Bytes.get t.a_status (p - 1) = st_crashed then deciders
+                else deciders + 1
+              in
+              scan t omitters rest ~anchored:true d.value ~deciders ~last
+
+    let judge t ~omitters =
+      scan t omitters t.a_decisions ~anchored:false Value.zero ~deciders:0
+        ~last:0
 
     (* A one-shot arena dies with its run, but a minor collection during
        the run may already have promoted it; every young state, cell,

@@ -134,6 +134,14 @@ module Make (A : Algorithm.S) : sig
     val next_round : t -> Round.t
     val all_halted : t -> bool
     val decisions : t -> Trace.decision list
+
+    val rev_decisions : t -> Trace.decision list
+    (** The arena's own decision list, newest first — no copy. Within a
+        round the newest decisions come in descending pid order, so
+        reversed the list is {!decisions}. A later round only conses onto
+        it: the decisions made since an earlier read are the cells in front
+        of that read's head (compare with [==]). *)
+
     val crashed : t -> (Pid.t * Round.t) list
 
     type fingerprint
@@ -166,19 +174,43 @@ module Make (A : Algorithm.S) : sig
         array); the late-message and decision lists are immutable and
         shared. *)
 
-    val finish :
-      ?max_rounds:int -> ?prof:Obs.Prof.acc -> schedule:Schedule.t -> t -> Trace.t
+    val settle :
+      ?max_rounds:int -> ?prof:Obs.Prof.acc -> schedule:Schedule.t -> t -> unit
     (** Step with [schedule]'s remaining plans (empty past the horizon)
         until all processes halt or [max_rounds] rounds have executed
-        (default {!default_max_rounds}), then package the trace. Leaves
-        the arena at the end of the run; the caller rewinds via
-        {!restore}. [prof], when given, records one {!Obs.Prof} interval
-        per executed round.
+        (default {!default_max_rounds}). Leaves the arena at the end of the
+        run, builds nothing; the caller rewinds via {!restore}. [prof],
+        when given, records one {!Obs.Prof} interval per executed round.
 
         When the arena was advanced manually via {!step}, pass the
         schedule those plans came from (or an explicit [max_rounds]
-        consistent with it) so the bound and [Trace.t.schedule] are
-        right. *)
+        consistent with it) so the bound is right. *)
+
+    val trace : schedule:Schedule.t -> t -> Trace.t
+    (** Package the arena's run so far as a trace declaring [schedule]
+        (whose omitters {!Props} judges against); [records] is empty. *)
+
+    val finish :
+      ?max_rounds:int ->
+      ?prof:Obs.Prof.acc ->
+      schedule:Schedule.t ->
+      t ->
+      Trace.t
+    (** {!settle}, then {!trace}. *)
+
+    val dirty : int
+    (** The negative verdict of {!judge}. *)
+
+    val judge : t -> omitters:Bitset.Big.t -> int
+    (** The sweep verdict of the run so far, read off the arena's slabs
+        (decisions, status bytes, proposals) with no allocation. With
+        [omitters] the pids of [schedule]'s {!Schedule.omitter_set}:
+        [judge t ~omitters] is [r >= 0] exactly when
+        [Props.check (trace ~schedule t) = []], and then [r] is
+        {!Trace.global_decision_round} of that trace as an int ([0] when
+        nobody decided); otherwise it is {!dirty}. {!Props.check} stays the
+        specification: callers build the trace and check it only for a
+        dirty run, so violation lists are the checker's own. *)
 
     val one_shot :
       Config.t -> proposals:Value.t Pid.Map.t -> (t -> 'a) -> 'a

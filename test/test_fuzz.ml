@@ -158,6 +158,142 @@ let prop_monitor_agrees_with_posthoc =
           | Some Fuzz.Outcome.Crash -> false))
 
 (* ------------------------------------------------------------------ *)
+(* The arena's leaf verdict == post-hoc Props.check                    *)
+
+(* One run settled on a one-shot arena, judged both ways: [Arena.judge]
+   and the specification it stands in for on clean runs — [Props.check]
+   of the packaged trace, with [Trace.global_decision_round]. Returns the
+   two verdicts in [judge]'s encoding, and the checker's violations. *)
+let judged_run ?fuel (Sim.Algorithm.Packed (module A)) config ~proposals
+    schedule =
+  let module E = Sim.Engine.Make (A) in
+  let omitters = Bitset.Big.of_pid_set (Sim.Schedule.omitter_set schedule) in
+  E.Arena.one_shot config ~proposals (fun a ->
+      E.Arena.settle ?max_rounds:fuel ~schedule a;
+      let judged = E.Arena.judge a ~omitters in
+      let trace = E.Arena.trace ~schedule a in
+      let vs = Sim.Props.check trace in
+      let expected =
+        if vs <> [] then E.Arena.dirty
+        else
+          match Sim.Trace.global_decision_round trace with
+          | Some r -> Round.to_int r
+          | None -> 0
+      in
+      (judged, expected, vs))
+
+(* Every process sends its proposal once, adopts p1's if p1's round-1
+   message reached it, and halts. Whoever missed it (p1 crashed or
+   send-omitting, or itself receive-omitting) ends the run undecided —
+   [Termination] if it is correct, clean if it is faulty — except p2,
+   which then decides a value nobody proposed ([Validity], omitter or
+   not). *)
+module Follow_p1 = struct
+  type msg = Value.t
+  type state = {
+    me : int;
+    value : Value.t;
+    decided : Value.t option;
+    halted : bool;
+  }
+
+  let name = "FollowP1"
+  let model = Sim.Model.Scs
+  let symmetric = false
+
+  let init _config pid v =
+    { me = Pid.to_int pid; value = v; decided = None; halted = false }
+
+  let on_send st _round = st.value
+
+  let on_receive st _round inbox =
+    let decided =
+      match
+        List.find_opt
+          (fun (e : Value.t Sim.Envelope.t) -> Pid.to_int e.src = 1)
+          inbox
+      with
+      | Some e -> Some e.payload
+      | None -> if st.me = 2 then Some (Value.of_int (-1)) else None
+    in
+    { st with decided; halted = true }
+
+  let decision st = st.decided
+  let halted st = st.halted
+  let wire_size _ = 1
+  let pp_msg = Value.pp
+  let pp_state ppf st = Value.pp ppf st.value
+end
+
+let judge_menus =
+  [ Sim.Model.Crash_only; Sim.Model.Send_omit_only; Sim.Model.Mixed ]
+
+let judge_algos =
+  [ floodset; at2; eager; Sim.Algorithm.Packed (module Follow_p1) ]
+
+(* Every algorithm under every menu at the default round bound and at a
+   short fuel (which leaves runs unsettled), on one drawn seed. *)
+let judge_cases seed =
+  List.concat_map
+    (fun faults ->
+      let rng = Rng.create ~seed in
+      let schedule = Workload.Random_runs.with_omissions rng c52 ~faults () in
+      List.concat_map
+        (fun algo ->
+          List.map
+            (fun fuel ->
+              judged_run ?fuel algo c52 ~proposals:(props c52) schedule)
+            [ None; Some 3 ])
+        judge_algos)
+    judge_menus
+
+let prop_judge_agrees_with_props =
+  qtest ~count:50 "Arena.judge == Props.check and the global decision round"
+    QCheck.(int_bound 99999)
+    (fun seed ->
+      List.for_all (fun (judged, expected, _) -> judged = expected)
+        (judge_cases seed))
+
+(* The drawn runs above exercise every verdict the judge must tell apart:
+   clean, validity or agreement broken, a correct process undecided at
+   the bound ([Unsettled]) and undecided with everybody halted
+   ([Termination]). *)
+let test_judge_covers_verdicts () =
+  let runs = List.concat_map judge_cases (List.init 200 Fun.id) in
+  let seen p =
+    List.exists (fun (_, _, vs) -> List.exists p vs) runs
+  in
+  check_bool "every run agrees" true
+    (List.for_all (fun (j, e, _) -> j = e) runs);
+  check_bool "clean runs" true (List.exists (fun (_, _, vs) -> vs = []) runs);
+  check_bool "validity violations" true
+    (seen (function Sim.Props.Validity _ -> true | _ -> false));
+  check_bool "agreement violations" true
+    (seen (function Sim.Props.Agreement _ -> true | _ -> false));
+  check_bool "unsettled runs" true
+    (seen (function Sim.Props.Unsettled _ -> true | _ -> false));
+  check_bool "termination violations" true
+    (seen (function Sim.Props.Termination _ -> true | _ -> false))
+
+(* Every leaf of the FloodSet n=4, t=1 send-omission sweep: 253 runs, of
+   which exactly the 8 the sweep reports are dirty. *)
+let test_judge_floodset_send_omit_leaves () =
+  let faults = Sim.Model.Send_omit_only in
+  let budget = Mc.Serial.budget_of ~faults c41 in
+  let leaves = ref 0 and dirty = ref 0 in
+  Mc.Serial.enumerate ~faults ~policy:Mc.Serial.Prefixes c41 ~horizon:3
+    ~f:(fun choices ->
+      let schedule = Mc.Serial.to_schedule ?budget c41 choices in
+      let judged, expected, _ =
+        judged_run floodset c41 ~proposals:(props c41) schedule
+      in
+      check_int "judge == Props.check" expected judged;
+      incr leaves;
+      if judged < 0 then incr dirty);
+  check_int "leaves" 253 !leaves;
+  check_int "dirty leaves" 8 !dirty
+
+(* ------------------------------------------------------------------ *)
 (* qcheck: shrinking preserves validity and the failure class          *)
 
 let prop_shrink_preserves_class =
@@ -516,6 +652,14 @@ let () =
           Alcotest.test_case "aborts at the violating round" `Quick
             test_monitor_aborts_early;
           prop_monitor_agrees_with_posthoc;
+        ] );
+      ( "judge",
+        [
+          prop_judge_agrees_with_props;
+          Alcotest.test_case "covers every verdict" `Quick
+            test_judge_covers_verdicts;
+          Alcotest.test_case "floodset send-omit leaves" `Quick
+            test_judge_floodset_send_omit_leaves;
         ] );
       ( "shrink",
         [
